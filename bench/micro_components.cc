@@ -1,15 +1,18 @@
 // Micro benchmarks (google-benchmark) for the pipeline's component costs:
 // HTML parsing, entity matching, topic identification, relation
 // annotation, feature extraction (with its interning / hashing
-// sub-phases), training, and extraction. Not a paper table; used to watch
+// sub-phases), training (the LR objective and the L-BFGS iteration, each on
+// its own), and extraction. Not a paper table; used to watch
 // for performance regressions.
 //
 // Usage: micro_components [--persist [path]] [google-benchmark flags]
-//   --persist: also write one JSON line per benchmark (ns per op) to
+//   --persist: also write one JSON line per benchmark (ns per op, or per
+//     unit of work where an op covers several: BM_LbfgsIteration) to
 //     BENCH_micro_components.json (or the given path).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
@@ -31,6 +34,8 @@
 #include "core/topic_identification.h"
 #include "core/training.h"
 #include "dom/html_parser.h"
+#include "ml/lbfgs.h"
+#include "ml/logistic_regression.h"
 #include "synth/kb_builder.h"
 #include "synth/site_generator.h"
 #include "synth/world.h"
@@ -251,16 +256,74 @@ void BM_HashedFeatureMapLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_HashedFeatureMapLookup);
 
-void BM_Training(benchmark::State& state) {
+// The fixture's training set, built once: the examples BM_LogRegObjective
+// evaluates on.
+const TrainingSet& FixtureTrainingSet() {
+  static const auto* set = [] {
+    MicroFixture& fixture = Fixture();
+    return new TrainingSet(
+        BuildTrainingSet(fixture.page_ptrs, fixture.annotations.annotations,
+                         *fixture.featurizer, fixture.kb->ontology(),
+                         TrainingConfig{})
+            .value());
+  }();
+  return *set;
+}
+
+void BM_LogRegObjective(benchmark::State& state) {
+  // One objective-and-gradient evaluation over the fixture's training
+  // examples, at the fitted weights (realistic softmax values).
   MicroFixture& fixture = Fixture();
+  const TrainingSet& set = FixtureTrainingSet();
+  LogRegObjective objective(set.examples, set.features.size(),
+                            set.classes.num_classes(), LogRegConfig{});
+  const std::vector<double>& w = fixture.model->model.weights();
+  std::vector<double> grad(objective.dim());
   for (auto _ : state) {
-    Result<TrainedModel> model = TrainExtractor(
-        fixture.page_ptrs, fixture.annotations.annotations,
-        *fixture.featurizer, fixture.kb->ontology(), TrainingConfig{});
-    benchmark::DoNotOptimize(model);
+    benchmark::DoNotOptimize(objective(w, &grad));
   }
 }
-BENCHMARK(BM_Training)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LogRegObjective)->Unit(benchmark::kMicrosecond);
+
+void BM_LbfgsIteration(benchmark::State& state) {
+  // The solver's own per-iteration work (two-loop recursion, line-search
+  // point, history update) at the fixture model's dimension and the default
+  // history. The objective is an ill-conditioned diagonal quadratic costing
+  // one pass over x, so the solver's bookkeeping dominates. Each benchmark op
+  // runs kIterations solver iterations; the persisted figure is per solver
+  // iteration (units_per_op).
+  constexpr int kIterations = 32;
+  const size_t dim = Fixture().model->model.weights().size();
+  std::vector<double> scale(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    scale[i] = 1.0 + static_cast<double>(i % 997);
+  }
+  LbfgsObjective quadratic = [&scale](const std::vector<double>& x,
+                                      std::vector<double>* grad) {
+    double value = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      (*grad)[i] = scale[i] * (x[i] - 1.0);
+      value += 0.5 * scale[i] * (x[i] - 1.0) * (x[i] - 1.0);
+    }
+    return value;
+  };
+  LbfgsConfig config;
+  config.max_iterations = kIterations;
+  config.gradient_tolerance = 0;
+  config.objective_tolerance = 0;
+  std::vector<double> x(dim);
+  for (auto _ : state) {
+    std::fill(x.begin(), x.end(), 0.0);
+    LbfgsResult result = MinimizeLbfgs(quadratic, &x, config);
+    benchmark::DoNotOptimize(result.final_objective);
+    if (result.iterations != kIterations || result.converged) {
+      state.SkipWithError("solver stopped before its iteration budget");
+      break;
+    }
+  }
+  state.counters["units_per_op"] = kIterations;
+}
+BENCHMARK(BM_LbfgsIteration)->Unit(benchmark::kMicrosecond);
 
 void BM_Extraction(benchmark::State& state) {
   MicroFixture& fixture = Fixture();
@@ -299,9 +362,15 @@ class CaptureReporter : public benchmark::ConsoleReporter {
           run.iterations == 0) {
         continue;
       }
+      // A benchmark whose op covers several units of work (units_per_op)
+      // persists the time per unit.
+      auto units = run.counters.find("units_per_op");
+      const double per_op =
+          units == run.counters.end() ? 1.0 : units->second.value;
       results.emplace_back(run.benchmark_name(),
                            run.real_accumulated_time /
-                               static_cast<double>(run.iterations) * 1e9);
+                               static_cast<double>(run.iterations) * 1e9 /
+                               per_op);
     }
     ConsoleReporter::ReportRuns(report);
   }

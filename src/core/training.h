@@ -49,18 +49,38 @@ struct TrainedModel {
   ClassMap classes;
   FeatureConfig feature_config;
   std::unordered_set<std::string> frequent_strings;
+  /// How the fit ended (iterations, convergence, evaluations, line-search
+  /// failure). Set by TrainExtractor; not persisted, so a loaded model
+  /// carries a default-constructed result.
+  LbfgsResult solver;
+};
+
+/// The labelled examples an extractor is fitted on, with the frozen feature
+/// dictionary and the class layout they index into.
+struct TrainingSet {
+  std::vector<LabeledExample> examples;
+  HashedFeatureMap features;
+  ClassMap classes;
 };
 
 /// Rebuilds the featurizer a persisted model was trained with.
 FeatureExtractor MakeFeaturizer(const TrainedModel& model);
 
-/// Builds labelled examples from `annotations` and fits the multinomial
-/// logistic-regression extractor.
+/// Builds the labelled examples for `annotations`.
 ///
 /// Positive examples are the annotated nodes (class = predicate, or NAME
 /// for topic nodes); negatives are r random unlabelled text fields per
 /// positive, excluding likely members of annotated value lists. Fails with
-/// kFailedPrecondition when there are no annotations.
+/// kFailedPrecondition when there are no annotations or too few annotated
+/// pages.
+Result<TrainingSet> BuildTrainingSet(
+    const std::vector<const DomDocument*>& pages,
+    const std::vector<Annotation>& annotations,
+    const FeatureExtractor& featurizer, const Ontology& ontology,
+    const TrainingConfig& config = {});
+
+/// Builds the training set (BuildTrainingSet) and fits the multinomial
+/// logistic-regression extractor on it.
 Result<TrainedModel> TrainExtractor(
     const std::vector<const DomDocument*>& pages,
     const std::vector<Annotation>& annotations,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "util/logging.h"
 
@@ -30,12 +29,23 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   LbfgsResult result;
   std::vector<double> grad(dim, 0.0);
   double fx = objective(*x, &grad);
+  result.evaluations = 1;
 
-  // Curvature history: s_i = x_{i+1} - x_i, y_i = g_{i+1} - g_i.
-  std::deque<std::vector<double>> s_hist;
-  std::deque<std::vector<double>> y_hist;
-  std::deque<double> rho_hist;
+  // Curvature history: s_i = x_{i+1} - x_i, y_i = g_{i+1} - g_i, kept in a
+  // ring of history + 1 preallocated slots. Pair i (0 = oldest) lives in
+  // slot (oldest + i) % slots; each candidate pair is written straight into
+  // the free slot after the newest and joins the history only when its
+  // curvature s'y is positive. No iteration allocates.
+  const size_t history = static_cast<size_t>(std::max(config.history, 0));
+  const size_t slots = history + 1;
+  std::vector<std::vector<double>> s_ring(slots, std::vector<double>(dim));
+  std::vector<std::vector<double>> y_ring(slots, std::vector<double>(dim));
+  std::vector<double> sy_ring(slots, 0.0);
+  size_t oldest = 0;
+  size_t count = 0;
+  auto slot = [&](size_t i) { return (oldest + i) % slots; };
 
+  std::vector<double> alpha(history);
   std::vector<double> direction(dim);
   std::vector<double> x_next(dim);
   std::vector<double> grad_next(dim, 0.0);
@@ -50,24 +60,28 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
 
     // Two-loop recursion computing d = -H * g.
     direction = grad;
-    std::vector<double> alpha(s_hist.size());
-    for (size_t i = s_hist.size(); i-- > 0;) {
-      alpha[i] = rho_hist[i] * Dot(s_hist[i], direction);
+    for (size_t i = count; i-- > 0;) {
+      const size_t at = slot(i);
+      alpha[i] = (1.0 / sy_ring[at]) * Dot(s_ring[at], direction);
+      const std::vector<double>& y = y_ring[at];
       for (size_t j = 0; j < dim; ++j) {
-        direction[j] -= alpha[i] * y_hist[i][j];
+        direction[j] -= alpha[i] * y[j];
       }
     }
-    if (!s_hist.empty()) {
+    if (count > 0) {
       // Initial Hessian scaling gamma = s'y / y'y.
-      double sy = Dot(s_hist.back(), y_hist.back());
-      double yy = Dot(y_hist.back(), y_hist.back());
+      const size_t newest = slot(count - 1);
+      double sy = sy_ring[newest];
+      double yy = Dot(y_ring[newest], y_ring[newest]);
       double gamma = yy > 0 ? sy / yy : 1.0;
       for (double& d : direction) d *= gamma;
     }
-    for (size_t i = 0; i < s_hist.size(); ++i) {
-      double beta = rho_hist[i] * Dot(y_hist[i], direction);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t at = slot(i);
+      double beta = (1.0 / sy_ring[at]) * Dot(y_ring[at], direction);
+      const std::vector<double>& s = s_ring[at];
       for (size_t j = 0; j < dim; ++j) {
-        direction[j] += (alpha[i] - beta) * s_hist[i][j];
+        direction[j] += (alpha[i] - beta) * s[j];
       }
     }
     for (double& d : direction) d = -d;
@@ -76,9 +90,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     if (directional >= 0) {
       // Not a descent direction (history gone stale); reset to steepest
       // descent.
-      s_hist.clear();
-      y_hist.clear();
-      rho_hist.clear();
+      count = 0;
       for (size_t j = 0; j < dim; ++j) direction[j] = -grad[j];
       directional = -Dot(grad, grad);
       if (directional == 0) {
@@ -96,36 +108,40 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
         x_next[j] = (*x)[j] + step * direction[j];
       }
       fx_next = objective(x_next, &grad_next);
+      ++result.evaluations;
       if (fx_next <= fx + config.armijo_c * step * directional) {
         accepted = true;
         break;
       }
       step *= config.backtrack;
     }
-    if (!accepted) break;  // Line search failed; best point so far kept.
+    if (!accepted) {
+      // Best point so far kept.
+      result.line_search_failed = true;
+      break;
+    }
 
     // Update curvature history.
-    std::vector<double> s(dim);
-    std::vector<double> y(dim);
+    const size_t free_slot = slot(count);
+    std::vector<double>& s = s_ring[free_slot];
+    std::vector<double>& y = y_ring[free_slot];
     for (size_t j = 0; j < dim; ++j) {
       s[j] = x_next[j] - (*x)[j];
       y[j] = grad_next[j] - grad[j];
     }
     double sy = Dot(s, y);
     if (sy > 1e-12) {
-      s_hist.push_back(std::move(s));
-      y_hist.push_back(std::move(y));
-      rho_hist.push_back(1.0 / sy);
-      if (static_cast<int>(s_hist.size()) > config.history) {
-        s_hist.pop_front();
-        y_hist.pop_front();
-        rho_hist.pop_front();
+      sy_ring[free_slot] = sy;
+      if (count == history) {
+        oldest = (oldest + 1) % slots;
+      } else {
+        ++count;
       }
     }
 
     double improvement = fx - fx_next;
-    *x = x_next;
-    grad = grad_next;
+    x->swap(x_next);
+    grad.swap(grad_next);
     fx = fx_next;
     if (improvement >= 0 &&
         improvement <= config.objective_tolerance * std::max(1.0,

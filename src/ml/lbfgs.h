@@ -28,6 +28,11 @@ struct LbfgsConfig {
 struct LbfgsResult {
   bool converged = false;
   int iterations = 0;
+  /// Objective evaluations, the initial one and every line-search trial.
+  int evaluations = 0;
+  /// True when a line search found no sufficient decrease within
+  /// max_line_search steps; the run then stops at the best point so far.
+  bool line_search_failed = false;
   double final_objective = 0.0;
 };
 

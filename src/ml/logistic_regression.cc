@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -10,18 +11,94 @@ namespace ceres {
 
 namespace {
 
-// Computes the softmax of `logits` in place, numerically stabilized.
-void SoftmaxInPlace(std::vector<double>* logits) {
-  double max_logit = *std::max_element(logits->begin(), logits->end());
+// Computes the softmax of logits[0..n) in place, numerically stabilized.
+void SoftmaxInPlace(double* logits, size_t n) {
+  double max_logit = *std::max_element(logits, logits + n);
   double sum = 0;
-  for (double& v : *logits) {
-    v = std::exp(v - max_logit);
-    sum += v;
+  for (size_t k = 0; k < n; ++k) {
+    logits[k] = std::exp(logits[k] - max_logit);
+    sum += logits[k];
   }
-  for (double& v : *logits) v /= sum;
+  for (size_t k = 0; k < n; ++k) logits[k] /= sum;
 }
 
 }  // namespace
+
+LogRegObjective::LogRegObjective(const std::vector<LabeledExample>& examples,
+                                 int32_t num_features, int32_t num_classes,
+                                 const LogRegConfig& config)
+    : examples_(&examples),
+      num_features_(num_features),
+      num_classes_(num_classes),
+      lambda_(1.0 / std::max(config.l2_c, 1e-12)),
+      regularize_bias_(config.regularize_bias),
+      logits_(static_cast<size_t>(num_classes)),
+      wt_(static_cast<size_t>(num_features) * num_classes),
+      bias_(static_cast<size_t>(num_classes)),
+      gt_(wt_.size()),
+      gbias_(bias_.size()) {}
+
+double LogRegObjective::operator()(const std::vector<double>& w,
+                                   std::vector<double>* grad) {
+  const size_t num_classes = static_cast<size_t>(num_classes_);
+  const size_t num_features = static_cast<size_t>(num_features_);
+  const size_t stride = num_features + 1;  // +1 intercept.
+  for (size_t k = 0; k < num_classes; ++k) {
+    const double* wk = w.data() + k * stride;
+    for (size_t f = 0; f < num_features; ++f) {
+      wt_[f * num_classes + k] = wk[f];
+    }
+    bias_[k] = wk[num_features];
+  }
+  std::fill(gt_.begin(), gt_.end(), 0.0);
+  std::fill(gbias_.begin(), gbias_.end(), 0.0);
+
+  double loss = 0;
+  double* logits = logits_.data();
+  for (const LabeledExample& example : *examples_) {
+    const auto& entries = example.features.entries();
+    std::fill(logits, logits + num_classes, 0.0);
+    for (const auto& [index, value] : entries) {
+      if (index >= num_features_) continue;
+      const double* row = wt_.data() + static_cast<size_t>(index) * num_classes;
+      for (size_t k = 0; k < num_classes; ++k) logits[k] += row[k] * value;
+    }
+    for (size_t k = 0; k < num_classes; ++k) logits[k] += bias_[k];
+    SoftmaxInPlace(logits, num_classes);
+    const size_t label = static_cast<size_t>(example.label);
+    const double p_true = std::max(logits[label], 1e-300);
+    loss -= example.weight * std::log(p_true);
+    // logits becomes the per-class error (p_k - [k == label]) * weight.
+    for (size_t k = 0; k < num_classes; ++k) {
+      logits[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * example.weight;
+    }
+    for (const auto& [index, value] : entries) {
+      if (index >= num_features_) continue;
+      double* row = gt_.data() + static_cast<size_t>(index) * num_classes;
+      for (size_t k = 0; k < num_classes; ++k) row[k] += logits[k] * value;
+    }
+    for (size_t k = 0; k < num_classes; ++k) gbias_[k] += logits[k];
+  }
+
+  for (size_t k = 0; k < num_classes; ++k) {
+    double* gk = grad->data() + k * stride;
+    for (size_t f = 0; f < num_features; ++f) {
+      gk[f] = gt_[f * num_classes + k];
+    }
+    gk[num_features] = gbias_[k];
+  }
+  // L2 penalty: lambda/2 * ||W||^2 over weights (and optionally biases).
+  const size_t limit = regularize_bias_ ? stride : num_features;
+  for (size_t k = 0; k < num_classes; ++k) {
+    const double* wk = w.data() + k * stride;
+    double* gk = grad->data() + k * stride;
+    for (size_t f = 0; f < limit; ++f) {
+      loss += 0.5 * lambda_ * wk[f] * wk[f];
+      gk[f] += lambda_ * wk[f];
+    }
+  }
+  return loss;
+}
 
 Result<LbfgsResult> LogisticRegression::Train(
     const std::vector<LabeledExample>& examples, int32_t num_features,
@@ -45,49 +122,10 @@ Result<LbfgsResult> LogisticRegression::Train(
 
   num_features_ = num_features;
   num_classes_ = num_classes;
-  const int32_t stride = num_features_ + 1;  // +1 intercept.
-  const size_t dim = static_cast<size_t>(num_classes_) * stride;
-  std::vector<double> params(dim, 0.0);
-  const double lambda = 1.0 / std::max(config.l2_c, 1e-12);
-
-  LbfgsObjective objective = [&](const std::vector<double>& w,
-                                 std::vector<double>* grad) {
-    std::fill(grad->begin(), grad->end(), 0.0);
-    double loss = 0;
-    std::vector<double> logits(static_cast<size_t>(num_classes_));
-    for (const LabeledExample& example : examples) {
-      for (int32_t k = 0; k < num_classes_; ++k) {
-        const double* wk = w.data() + static_cast<size_t>(k) * stride;
-        logits[static_cast<size_t>(k)] =
-            example.features.Dot(wk, num_features_) + wk[num_features_];
-      }
-      SoftmaxInPlace(&logits);
-      const double p_true =
-          std::max(logits[static_cast<size_t>(example.label)], 1e-300);
-      loss -= example.weight * std::log(p_true);
-      for (int32_t k = 0; k < num_classes_; ++k) {
-        double err = logits[static_cast<size_t>(k)] -
-                     (k == example.label ? 1.0 : 0.0);
-        err *= example.weight;
-        double* gk = grad->data() + static_cast<size_t>(k) * stride;
-        example.features.AxpyInto(err, gk, num_features_);
-        gk[num_features_] += err;
-      }
-    }
-    // L2 penalty: lambda/2 * ||W||^2 over weights (and optionally biases).
-    for (int32_t k = 0; k < num_classes_; ++k) {
-      const double* wk = w.data() + static_cast<size_t>(k) * stride;
-      double* gk = grad->data() + static_cast<size_t>(k) * stride;
-      const int32_t limit = config.regularize_bias ? stride : num_features_;
-      for (int32_t f = 0; f < limit; ++f) {
-        loss += 0.5 * lambda * wk[f] * wk[f];
-        gk[f] += lambda * wk[f];
-      }
-    }
-    return loss;
-  };
-
-  LbfgsResult solver_result = MinimizeLbfgs(objective, &params, config.solver);
+  LogRegObjective objective(examples, num_features, num_classes, config);
+  std::vector<double> params(objective.dim(), 0.0);
+  LbfgsResult solver_result =
+      MinimizeLbfgs(std::ref(objective), &params, config.solver);
   weights_ = std::move(params);
   trained_ = true;
   return solver_result;
@@ -103,7 +141,7 @@ std::vector<double> LogisticRegression::PredictProbabilities(
     logits[static_cast<size_t>(k)] =
         features.Dot(wk, num_features_) + wk[num_features_];
   }
-  SoftmaxInPlace(&logits);
+  SoftmaxInPlace(logits.data(), logits.size());
   return logits;
 }
 

@@ -31,6 +31,49 @@ struct LabeledExample {
   double weight = 1.0;
 };
 
+/// The training objective of LogisticRegression: the example-weighted
+/// multinomial log-loss plus the L2 penalty ||W||^2 / (2 C), with its
+/// gradient.
+///
+/// Parameters and gradient are class-major, in the layout of
+/// LogisticRegression::weights(). Internally each evaluation transposes the
+/// weights into feature-major scratch (wt[f * K + k]), so one pass over an
+/// example's nonzeros yields all K logits and a second pass scatters all K
+/// gradient entries; the gradient is transposed back at the end. Every logit
+/// and gradient cell still receives its additions in the order of the
+/// class-major formulation (per class: nonzeros in index order, then the
+/// intercept; examples in order), so the values are bit-identical to it.
+/// Feature indices >= num_features are ignored. The scratch is allocated
+/// once, here; evaluations do not allocate.
+class LogRegObjective {
+ public:
+  /// Borrows `examples`, which must outlive the objective.
+  LogRegObjective(const std::vector<LabeledExample>& examples,
+                  int32_t num_features, int32_t num_classes,
+                  const LogRegConfig& config);
+
+  /// Length of the parameter vector: num_classes * (num_features + 1).
+  size_t dim() const {
+    return static_cast<size_t>(num_classes_) * (num_features_ + 1);
+  }
+
+  /// Returns the objective at `w` and writes its gradient into *grad; both
+  /// vectors have length dim().
+  double operator()(const std::vector<double>& w, std::vector<double>* grad);
+
+ private:
+  const std::vector<LabeledExample>* examples_;
+  int32_t num_features_;
+  int32_t num_classes_;
+  double lambda_;
+  bool regularize_bias_;
+  std::vector<double> logits_;  // [K]; reused for the per-class errors.
+  std::vector<double> wt_;      // [F * K] feature-major weights.
+  std::vector<double> bias_;    // [K]
+  std::vector<double> gt_;      // [F * K] feature-major gradient.
+  std::vector<double> gbias_;   // [K]
+};
+
 /// Multinomial (softmax) logistic regression trained with L-BFGS.
 ///
 /// Pr(Y = k | x) = exp(b_k + w_k . x) / sum_i exp(b_i + w_i . x),

@@ -190,5 +190,46 @@ TEST(TrainingTest, DeterministicAcrossRuns) {
   }
 }
 
+TEST(TrainingTest, CappedSolverIsReportedAsNotConverged) {
+  TrainingFixture fixture;
+  FeatureExtractor featurizer(fixture.ptrs, FeatureConfig{});
+  TrainingConfig config;
+  config.logreg.solver.max_iterations = 2;
+  Result<TrainedModel> model =
+      TrainExtractor(fixture.ptrs, fixture.annotations.annotations,
+                     featurizer, fixture.kb.kb.ontology(), config);
+  ASSERT_TRUE(model.ok());
+  EXPECT_FALSE(model->solver.converged);
+  EXPECT_EQ(model->solver.iterations, 2);
+  // The initial evaluation plus at least one line-search trial per
+  // iteration.
+  EXPECT_GE(model->solver.evaluations, 3);
+  EXPECT_FALSE(model->solver.line_search_failed);
+  EXPECT_GT(model->solver.final_objective, 0.0);
+}
+
+TEST(TrainingTest, TrainingSetMatchesTheFittedModel) {
+  TrainingFixture fixture;
+  FeatureExtractor featurizer(fixture.ptrs, FeatureConfig{});
+  Result<TrainingSet> set =
+      BuildTrainingSet(fixture.ptrs, fixture.annotations.annotations,
+                       featurizer, fixture.kb.kb.ontology(), TrainingConfig{});
+  Result<TrainedModel> model =
+      TrainExtractor(fixture.ptrs, fixture.annotations.annotations,
+                     featurizer, fixture.kb.kb.ontology(), TrainingConfig{});
+  ASSERT_TRUE(set.ok());
+  ASSERT_TRUE(model.ok());
+  EXPECT_TRUE(set->features.frozen());
+  EXPECT_EQ(set->features.ids(), model->features.ids());
+  EXPECT_EQ(set->classes.num_classes(), model->classes.num_classes());
+  // Refitting on the built set reproduces the extractor bit for bit.
+  LogisticRegression refit;
+  ASSERT_TRUE(refit
+                  .Train(set->examples, set->features.size(),
+                         set->classes.num_classes(), TrainingConfig{}.logreg)
+                  .ok());
+  EXPECT_EQ(refit.weights(), model->model.weights());
+}
+
 }  // namespace
 }  // namespace ceres

@@ -75,7 +75,11 @@ DomDocument RandomDocument(Rng* rng) {
       doc.SetText(id, tmp->node(tmp->size() - 1).text);
     }
     if (rng->Bernoulli(0.4)) {
-      doc.AddAttribute(id, "class", "c" + std::to_string(rng->Uniform(0, 5)));
+      // Appended rather than `"c" + to_string(...)`, which trips GCC 12's
+      // false-positive -Wrestrict under -Werror.
+      std::string cls = "c";
+      cls += std::to_string(rng->Uniform(0, 5));
+      doc.AddAttribute(id, "class", cls);
     }
     if (rng->Bernoulli(0.6)) open.push_back(id);
   }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace ceres {
 namespace {
@@ -177,6 +182,182 @@ TEST(LogisticRegressionTest, RecoversOnNoisyLinearlySeparableData) {
     ++total;
   }
   EXPECT_GT(static_cast<double>(correct) / total, 0.9);
+}
+
+// A small weighted problem for the gradient checks: 6 classes over 10
+// features, 3-5 nonzeros per example, importance weights in [0.5, 2).
+std::vector<LabeledExample> GradientCheckProblem(Rng* rng) {
+  std::vector<LabeledExample> examples;
+  for (int i = 0; i < 40; ++i) {
+    LabeledExample example;
+    example.label = static_cast<int32_t>(rng->Index(6));
+    const int nonzeros = 3 + static_cast<int>(rng->Index(3));
+    for (int j = 0; j < nonzeros; ++j) {
+      example.features.Add(static_cast<int32_t>(rng->Index(10)),
+                           rng->Gaussian(0, 1));
+    }
+    example.features.Finalize();
+    example.weight = 0.5 + 1.5 * rng->UniformDouble();
+    examples.push_back(std::move(example));
+  }
+  return examples;
+}
+
+// Compares the analytic gradient with central differences at a random point,
+// in 6 coordinates per class: 5 random weights and the intercept.
+void ExpectGradientMatchesFiniteDifferences(
+    const std::vector<LabeledExample>& examples, int32_t num_features,
+    int32_t num_classes, const LogRegConfig& config, Rng* rng) {
+  LogRegObjective objective(examples, num_features, num_classes, config);
+  std::vector<double> w(objective.dim());
+  for (double& v : w) v = rng->Gaussian(0, 0.5);
+  std::vector<double> grad(w.size());
+  objective(w, &grad);
+  std::vector<double> scratch(w.size());
+  const double h = 1e-5;
+  const size_t stride = static_cast<size_t>(num_features) + 1;
+  for (int32_t k = 0; k < num_classes; ++k) {
+    std::vector<size_t> coords{static_cast<size_t>(k) * stride +
+                               static_cast<size_t>(num_features)};
+    for (int j = 0; j < 5; ++j) {
+      coords.push_back(static_cast<size_t>(k) * stride +
+                       rng->Index(static_cast<size_t>(num_features)));
+    }
+    for (size_t i : coords) {
+      std::vector<double> plus = w;
+      std::vector<double> minus = w;
+      plus[i] += h;
+      minus[i] -= h;
+      const double numeric =
+          (objective(plus, &scratch) - objective(minus, &scratch)) / (2 * h);
+      EXPECT_NEAR(grad[i], numeric, 1e-6 * std::max(1.0, std::fabs(numeric)))
+          << "class " << k << " coordinate " << i;
+    }
+  }
+}
+
+TEST(LogRegObjectiveTest, GradientMatchesFiniteDifferences) {
+  for (bool regularize_bias : {false, true}) {
+    SCOPED_TRACE(regularize_bias);
+    Rng rng(regularize_bias ? 5 : 4);
+    std::vector<LabeledExample> examples = GradientCheckProblem(&rng);
+    LogRegConfig config;
+    config.l2_c = 0.5;
+    config.regularize_bias = regularize_bias;
+    ExpectGradientMatchesFiniteDifferences(examples, 10, 6, config, &rng);
+  }
+}
+
+TEST(LogRegObjectiveTest, RegularizeBiasPenalizesOnlyTheIntercepts) {
+  Rng rng(6);
+  std::vector<LabeledExample> examples = GradientCheckProblem(&rng);
+  LogRegConfig off;
+  off.l2_c = 0.5;
+  LogRegConfig on = off;
+  on.regularize_bias = true;
+  LogRegObjective plain(examples, 10, 6, off);
+  LogRegObjective penalized(examples, 10, 6, on);
+  std::vector<double> w(plain.dim());
+  for (double& v : w) v = rng.Gaussian(0, 0.5);
+  std::vector<double> grad_off(w.size());
+  std::vector<double> grad_on(w.size());
+  const double loss_off = plain(w, &grad_off);
+  const double loss_on = penalized(w, &grad_on);
+  double bias_penalty = 0;
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (i % 11 == 10) {  // Intercept of its class block.
+      EXPECT_NEAR(grad_on[i] - grad_off[i], 2.0 * w[i], 1e-12);
+      bias_penalty += w[i] * w[i];
+    } else {
+      EXPECT_EQ(grad_on[i], grad_off[i]);
+    }
+  }
+  EXPECT_NEAR(loss_on - loss_off, bias_penalty, 1e-9);
+}
+
+// A feature index at or past num_features (a feature unseen when the
+// dictionary was frozen) is ignored: objective and gradient equal those of
+// the example without it, bit for bit, and stay consistent with finite
+// differences.
+TEST(LogRegObjectiveTest, IgnoresFeaturesPastNumFeatures) {
+  Rng rng(8);
+  std::vector<LabeledExample> with_stray = GradientCheckProblem(&rng);
+  std::vector<LabeledExample> without_stray = with_stray;
+  with_stray.push_back(Example({{3, 0.7}, {10, 2.0}, {25, -1.0}}, 2));
+  without_stray.push_back(Example({{3, 0.7}}, 2));
+
+  LogRegConfig config;
+  LogRegObjective a(with_stray, 10, 6, config);
+  LogRegObjective b(without_stray, 10, 6, config);
+  std::vector<double> w(a.dim());
+  for (double& v : w) v = rng.Gaussian(0, 0.5);
+  std::vector<double> grad_a(w.size());
+  std::vector<double> grad_b(w.size());
+  EXPECT_EQ(a(w, &grad_a), b(w, &grad_b));
+  EXPECT_EQ(grad_a, grad_b);
+  ExpectGradientMatchesFiniteDifferences(with_stray, 10, 6, config, &rng);
+}
+
+// A seeded sparse problem shaped like one site-template fit: a few dozen
+// nonzeros out of 200 features, 8 classes, the label driven by which
+// class-specific features fire.
+std::vector<LabeledExample> PinnedProblem() {
+  constexpr int kExamples = 300;
+  constexpr int kFeatures = 200;
+  constexpr int kClasses = 8;
+  Rng rng(20180801);
+  std::vector<LabeledExample> examples;
+  for (int i = 0; i < kExamples; ++i) {
+    LabeledExample example;
+    example.label = static_cast<int32_t>(rng.Index(kClasses));
+    // Class-specific features (25 per class) plus shared noise features.
+    for (int j = 0; j < 4; ++j) {
+      int32_t own = example.label * 25 +
+                    static_cast<int32_t>(rng.Index(25));
+      example.features.Add(own, 0.5 + rng.UniformDouble());
+    }
+    for (int j = 0; j < 8; ++j) {
+      example.features.Add(static_cast<int32_t>(rng.Index(kFeatures)),
+                           rng.UniformDouble());
+    }
+    example.features.Finalize();
+    if (rng.Bernoulli(0.1)) {
+      example.label = static_cast<int32_t>(rng.Index(kClasses));
+    }
+    examples.push_back(std::move(example));
+  }
+  return examples;
+}
+
+// FNV-1a over the IEEE-754 bit patterns of every weight, then of the final
+// objective: any change in one bit of the fitted model changes the digest.
+uint64_t ModelDigest(const std::vector<double>& weights,
+                     double final_objective) {
+  std::string bytes(weights.size() * sizeof(double) + sizeof(double), '\0');
+  std::memcpy(bytes.data(), weights.data(), weights.size() * sizeof(double));
+  std::memcpy(bytes.data() + weights.size() * sizeof(double),
+              &final_objective, sizeof(double));
+  return Fnv1a64(bytes);
+}
+
+// Pins the trained model bit for bit. The expected digest was recorded
+// before the objective moved to a feature-major layout and L-BFGS to a
+// ring-buffer history; both rewrites must leave every addition in its
+// original order, so the digest must never change under a refactor. It
+// does depend on the platform's libm (std::exp / std::log) and on strict
+// IEEE double arithmetic (no -ffast-math, no FMA contraction).
+TEST(LogisticRegressionTest, TrainedModelIsBitIdentical) {
+  std::vector<LabeledExample> examples = PinnedProblem();
+  LogisticRegression model;
+  Result<LbfgsResult> fit = model.Train(examples, 200, 8);
+  ASSERT_TRUE(fit.ok());
+  const uint64_t digest = ModelDigest(model.weights(), fit->final_objective);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(std::string(hex), "d7bbfc875e886a19")
+      << "iterations=" << fit->iterations
+      << " final_objective=" << fit->final_objective;
 }
 
 }  // namespace

@@ -14,14 +14,18 @@
 namespace ceres {
 namespace {
 
+// gtest prints a parameter without a printer as its raw bytes, and those
+// bytes end up in the discovered test names; `num_classes` is 64-bit so the
+// struct has no padding and the names do not pick up uninitialized memory.
 struct SweepCase {
-  int32_t num_classes;
+  int64_t num_classes;
   double l2_c;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "K%d_C%g", info.param.num_classes,
+  std::snprintf(buffer, sizeof(buffer), "K%lld_C%g",
+                static_cast<long long>(info.param.num_classes),
                 info.param.l2_c);
   std::string name;
   for (const char* p = buffer; *p != '\0'; ++p) {
@@ -53,14 +57,15 @@ class LogRegSweepTest : public ::testing::TestWithParam<SweepCase> {
 
 TEST_P(LogRegSweepTest, SeparableDataLearnedAccurately) {
   const SweepCase param = GetParam();
+  const int32_t num_classes = static_cast<int32_t>(param.num_classes);
   Rng rng(42);
   std::vector<LabeledExample> examples =
-      MakeData(param.num_classes, 25, &rng);
+      MakeData(num_classes, 25, &rng);
   LogisticRegression model;
   LogRegConfig config;
   config.l2_c = param.l2_c;
   ASSERT_TRUE(
-      model.Train(examples, param.num_classes + 2, param.num_classes, config)
+      model.Train(examples, num_classes + 2, num_classes, config)
           .ok());
   int correct = 0;
   for (const LabeledExample& example : examples) {
@@ -71,26 +76,27 @@ TEST_P(LogRegSweepTest, SeparableDataLearnedAccurately) {
 
 TEST_P(LogRegSweepTest, ProbabilitiesAlwaysValid) {
   const SweepCase param = GetParam();
+  const int32_t num_classes = static_cast<int32_t>(param.num_classes);
   Rng rng(7);
   std::vector<LabeledExample> examples =
-      MakeData(param.num_classes, 10, &rng);
+      MakeData(num_classes, 10, &rng);
   LogisticRegression model;
   LogRegConfig config;
   config.l2_c = param.l2_c;
   ASSERT_TRUE(
-      model.Train(examples, param.num_classes + 2, param.num_classes, config)
+      model.Train(examples, num_classes + 2, num_classes, config)
           .ok());
   for (int trial = 0; trial < 50; ++trial) {
     SparseVector v;
     int entries = static_cast<int>(rng.Uniform(0, 4));
     for (int e = 0; e < entries; ++e) {
       v.Add(static_cast<int32_t>(rng.Index(
-                static_cast<size_t>(param.num_classes + 2))),
+                static_cast<size_t>(num_classes + 2))),
             rng.Gaussian(0, 3));
     }
     v.Finalize();
     std::vector<double> probs = model.PredictProbabilities(v);
-    ASSERT_EQ(probs.size(), static_cast<size_t>(param.num_classes));
+    ASSERT_EQ(probs.size(), static_cast<size_t>(num_classes));
     double sum = 0;
     for (double p : probs) {
       EXPECT_TRUE(std::isfinite(p));
