@@ -25,7 +25,6 @@
 //   --persist: also write the BENCH lines to BENCH_kb_load.json (or
 //              `path`) for a committed result trail.
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "dist/run_in_child.h"
 #include "kb/kb_io.h"
 #include "kb/knowledge_base.h"
 #include "util/string_util.h"
@@ -109,53 +109,37 @@ int64_t SelfRssKb() {
 }
 
 // Forks a worker that opens the KB from `path` (map or parse), touches the
-// serving paths, and reports the RSS it *added* doing so back through a
-// pipe. The delta (after-open minus before-open) excludes the address
-// space inherited copy-on-write from the bench parent, so it is the
-// incremental cost of one more worker on the machine: the parsed heap for
-// the text path, the faulted-in (shareable, file-backed) image pages for
-// the mapped path.
+// serving paths, and reports the RSS it *added* doing so. The delta
+// (after-open minus before-open) excludes the address space inherited
+// copy-on-write from the bench parent, so it is the incremental cost of one
+// more worker on the machine: the parsed heap for the text path, the
+// faulted-in (shareable, file-backed) image pages for the mapped path.
+// -1 when the worker fails.
 int64_t ForkedWorkerRssKb(const std::string& path, bool map) {
-  int fds[2];
-  if (::pipe(fds) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    int64_t rss = -1;
+  Result<int64_t> rss = dist::RunInChild([&path, map]() -> Result<int64_t> {
     const int64_t before = SelfRssKb();
-    Result<KnowledgeBase> kb = map ? KnowledgeBase::OpenImage(path)
-                                   : LoadKbFromFile(path);
-    if (kb.ok() && before >= 0) {
-      // Touch the serving paths so the measurement includes real traffic
-      // (faulted-in pages for the mapped KB, not just the clean open).
-      int64_t sum = 0;
-      for (EntityId id = 0; id < kb->num_entities(); id += 97) {
-        sum += static_cast<int64_t>(kb->MatchMentionsView(
-            kb->entity(id).name).size());
-        sum += static_cast<int64_t>(kb->TriplesWithSubject(id).size());
-      }
-      rss = SelfRssKb() - before + (sum == -12345 ? 1 : 0);  // keep `sum` alive
+    if (before < 0) return Status::Internal("cannot read /proc/self/statm");
+    CERES_ASSIGN_OR_RETURN(KnowledgeBase kb,
+                           map ? KnowledgeBase::OpenImage(path)
+                               : LoadKbFromFile(path));
+    // Touch the serving paths so the measurement includes real traffic
+    // (faulted-in pages for the mapped KB, not just the clean open).
+    int64_t sum = 0;
+    for (EntityId id = 0; id < kb.num_entities(); id += 97) {
+      sum += static_cast<int64_t>(
+          kb.MatchMentionsView(kb.entity(id).name).size());
+      sum += static_cast<int64_t>(kb.TriplesWithSubject(id).size());
     }
-    const ssize_t written = ::write(fds[1], &rss, sizeof(rss));
-    ::close(fds[1]);
-    ::_exit(written == sizeof(rss) && rss >= 0 ? 0 : 1);
-  }
-  ::close(fds[1]);
-  int64_t rss = -1;
-  const ssize_t got = ::read(fds[0], &rss, sizeof(rss));
-  ::close(fds[0]);
-  int wstatus = 0;
-  ::waitpid(pid, &wstatus, 0);
-  if (got != sizeof(rss) || !WIFEXITED(wstatus) ||
-      WEXITSTATUS(wstatus) != 0) {
+    const int64_t after = SelfRssKb();
+    if (after < 0) return Status::Internal("cannot read /proc/self/statm");
+    return after - before + (sum == -12345 ? 1 : 0);  // keep `sum` alive
+  });
+  if (!rss.ok()) {
+    std::fprintf(stderr, "worker RSS probe failed: %s\n",
+                 rss.status().ToString().c_str());
     return -1;
   }
-  return rss;
+  return *rss;
 }
 
 // Spot-check that `mapped` serves identically to `heap` (the full matrix

@@ -58,6 +58,9 @@ std::vector<char> KbImageBuilder::Serialize() const {
 
   std::vector<char> image(cursor, '\0');
   for (uint32_t i = 0; i < kKbImageSectionCount; ++i) {
+    // An empty section's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (sections_[i].empty()) continue;
     std::memcpy(image.data() + header.sections[i].offset,
                 sections_[i].data(), sections_[i].size());
   }

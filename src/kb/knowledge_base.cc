@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "text/fuzzy_matcher.h"
 #include "text/normalize.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -49,11 +50,10 @@ void KnowledgeBase::Freeze() {
       std::unique(build_triples_.begin(), build_triples_.end()),
       build_triples_.end());
 
-  // The normalized name index, replicating FuzzyMatcher::Add semantics
-  // exactly (empty keys skipped, per-key ids deduplicated in registration
-  // order) so the mapped binary-search path and the heap hash path return
-  // identical match lists. A std::map because the image's key section
-  // must be sorted by key bytes.
+  // The normalized name keys: empty keys skipped, per-key ids deduplicated
+  // in registration order (names and aliases of entity 0, then entity 1,
+  // ...). A std::map because the image's key section must be sorted by key
+  // bytes for MatchMentionsView's binary search.
   std::map<std::string, std::vector<EntityId>> name_map;
   auto add_name = [&name_map](std::string_view surface, EntityId id) {
     std::string key = NormalizeText(surface);
@@ -166,19 +166,6 @@ void KnowledgeBase::Freeze() {
   CERES_CHECK_MSG(image.ok(), "freshly serialized KB image must validate");
   image_ = std::move(image).value();
   AttachImage();
-
-  // The hash accelerator for the mention-matching hot path, over the
-  // image's interned strings (no second copy of the name data beyond the
-  // matcher's own keys).
-  for (size_t i = 0; i < entities_.size(); ++i) {
-    const KbEntityRecord& record = entities_[i];
-    const EntityId id = static_cast<EntityId>(i);
-    name_index_.Add(image_.View(record.name), id);
-    for (uint64_t a = record.alias_begin; a < record.alias_end; ++a) {
-      name_index_.Add(image_.View(alias_refs_[a]), id);
-    }
-  }
-  has_name_index_ = true;
 
   build_entities_.clear();
   std::vector<Triple>().swap(build_triples_);
@@ -342,46 +329,42 @@ std::span<const EntityId> KnowledgeBase::LookupNameKey(
 std::span<const EntityId> KnowledgeBase::MatchMentionsView(
     std::string_view text) const {
   CERES_CHECK(frozen_);
+  // One scratch buffer per thread: concurrent batch workers each reuse
+  // their own, so the hot path stays allocation-free after warm-up.
+  thread_local std::string scratch;
+  NormalizeTextInto(text, &scratch);
   std::span<const EntityId> hit;
-  if (has_name_index_) {
-    hit = name_index_.MatchView(text);
-  } else {
-    // Mapped KB: binary search the image's sorted key section with the
-    // same normalize -> lookup -> year-strip-retry ladder as FuzzyMatcher
-    // (identical match lists; O(log keys) instead of O(1), the price of
-    // an O(1) open).
-    thread_local std::string scratch;
-    NormalizeTextInto(text, &scratch);
-    if (!scratch.empty()) {
-      hit = LookupNameKey(scratch);
-      if (hit.empty()) {
-        std::string_view stripped = StripTrailingYearView(scratch);
-        if (stripped.size() != scratch.size() && !stripped.empty()) {
-          hit = LookupNameKey(stripped);
-        }
-      }
-      if (obs::Enabled()) {
-        static obs::Counter* const lookups =
-            obs::MetricsRegistry::Default().GetCounter(
-                "ceres_fuzzy_lookups_total");
-        static obs::Counter* const hits =
-            obs::MetricsRegistry::Default().GetCounter(
-                "ceres_fuzzy_hits_total");
-        lookups->Increment();
-        if (!hit.empty()) hits->Increment();
+  if (!scratch.empty()) {
+    hit = LookupNameKey(scratch);
+    if (hit.empty()) {
+      // Retry with a trailing disambiguation year removed, a common
+      // pattern on film sites ("Do the Right Thing (1989)").
+      std::string_view stripped = StripTrailingYearView(scratch);
+      if (stripped.size() != scratch.size() && !stripped.empty()) {
+        hit = LookupNameKey(stripped);
       }
     }
   }
-  // Same one-branch guard as FuzzyMatcher::MatchView: KB mention lookups
-  // are the entity-matching hot path, so the disabled cost is one relaxed
-  // load.
+  // Hot path: when metrics are off this whole block is one relaxed load +
+  // branch. The handles are resolved once per process and cached. The
+  // fuzzy counters see only non-empty normalized probes; the mention
+  // counters see every call.
   if (obs::Enabled()) {
+    static obs::Counter* const fuzzy_lookups =
+        obs::MetricsRegistry::Default().GetCounter(
+            "ceres_fuzzy_lookups_total");
+    static obs::Counter* const fuzzy_hits =
+        obs::MetricsRegistry::Default().GetCounter("ceres_fuzzy_hits_total");
     static obs::Counter* const lookups =
         obs::MetricsRegistry::Default().GetCounter(
             "ceres_kb_mention_lookups_total");
     static obs::Counter* const hits =
         obs::MetricsRegistry::Default().GetCounter(
             "ceres_kb_mention_hits_total");
+    if (!scratch.empty()) {
+      fuzzy_lookups->Increment();
+      if (!hit.empty()) fuzzy_hits->Increment();
+    }
     lookups->Increment();
     if (!hit.empty()) hits->Increment();
   }

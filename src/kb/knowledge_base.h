@@ -11,7 +11,6 @@
 
 #include "kb/kb_image.h"
 #include "kb/ontology.h"
-#include "text/fuzzy_matcher.h"
 #include "util/status.h"
 
 namespace ceres {
@@ -102,20 +101,15 @@ static_assert(std::is_trivially_copyable_v<Triple>);
 ///
 /// Build phase: AddEntity / AddAlias / AddTriple in any order, then call
 /// Freeze() once. Freeze serializes the whole KB — entities, sorted
-/// triples, CSR subject index, per-subject object sets, the normalized
-/// name index, and object-string statistics — into one flat image buffer
-/// (kb/kb_image.h), and all query methods serve from that image. A frozen
-/// KB can be written out with SaveImage and re-opened out-of-core with
-/// OpenImage, which mmap's the file read-only in O(1) and serves the same
-/// queries from the mapping, byte-identical to the heap-frozen path (they
-/// are literally the same bytes). Forked workers mapping one image share
+/// triples, CSR subject index, per-subject object sets, the sorted
+/// normalized name keys, and object-string statistics — into one flat
+/// image buffer (kb/kb_image.h), and all query methods serve from that
+/// image. A frozen KB can be written out with SaveImage and re-opened
+/// out-of-core with OpenImage, which mmap's the file read-only in O(1) and
+/// serves the same queries from the mapping, byte-identical to the
+/// heap-frozen path (they are literally the same bytes, and no query has a
+/// second code path per backing). Forked workers mapping one image share
 /// its pages copy-on-write.
-///
-/// The only divergence between the two backings is the name-index
-/// accelerator: a heap-frozen KB builds a FuzzyMatcher hash index at
-/// Freeze() (the entity-matching hot path), while a mapped KB binary-
-/// searches the image's sorted key section so that open stays O(1); both
-/// produce identical match lists.
 class KnowledgeBase {
  public:
   explicit KnowledgeBase(Ontology ontology)
@@ -196,10 +190,14 @@ class KnowledgeBase {
   // --- Matching (requires frozen) --------------------------------------
 
   /// All entity ids whose name or alias fuzzily matches `text` (§3.1.1
-  /// step 1). May return many ids for ambiguous strings. The span aliases
-  /// the name index and stays valid for the KB's lifetime; matching
-  /// normalizes into per-thread scratch, so concurrent calls are safe and
-  /// allocation-free.
+  /// step 1, the string matching of Gulhane et al.): two strings match
+  /// when their normalizations (NormalizeText) agree, and a text with a
+  /// trailing year token ("Selma (2014)") also matches the year-free name.
+  /// May return many ids for ambiguous strings, in registration order
+  /// without duplicates. The span aliases the image's name-id section and
+  /// stays valid for the KB's lifetime; matching normalizes into
+  /// per-thread scratch and binary-searches the sorted name keys, so
+  /// concurrent calls are safe and allocation-free.
   std::span<const EntityId> MatchMentionsView(std::string_view text) const;
 
   /// Copying variant of MatchMentionsView for callers that keep the result.
@@ -270,11 +268,6 @@ class KnowledgeBase {
   std::span<const EntityId> name_ids_;
   std::span<const KbObjectStringCount> object_string_counts_;
   const char* strings_ = nullptr;
-
-  /// Hash-lookup accelerator for MatchMentionsView, built by Freeze()
-  /// only (building it on OpenImage would make open O(n)).
-  FuzzyMatcher name_index_;
-  bool has_name_index_ = false;
 };
 
 }  // namespace ceres

@@ -1,10 +1,6 @@
 #include "text/fuzzy_matcher.h"
 
-#include <algorithm>
 #include <cctype>
-
-#include "obs/metrics.h"
-#include "text/normalize.h"
 
 namespace ceres {
 
@@ -23,59 +19,6 @@ std::string_view StripTrailingYearView(std::string_view normalized) {
 
 std::string StripTrailingYear(std::string_view normalized) {
   return std::string(StripTrailingYearView(normalized));
-}
-
-void FuzzyMatcher::Add(std::string_view name, int64_t id) {
-  std::string key = NormalizeText(name);
-  if (key.empty()) return;
-  std::vector<int64_t>& ids = index_[key];
-  if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
-    ids.push_back(id);
-  }
-}
-
-const std::vector<int64_t>* FuzzyMatcher::Lookup(
-    std::string_view normalized) const {
-  auto it = index_.find(normalized);
-  return it == index_.end() ? nullptr : &it->second;
-}
-
-std::span<const int64_t> FuzzyMatcher::MatchView(std::string_view text) const {
-  // One scratch buffer per thread: concurrent batch workers each reuse
-  // their own, so the hot path stays allocation-free after warm-up.
-  thread_local std::string scratch;
-  NormalizeTextInto(text, &scratch);
-  if (scratch.empty()) return {};
-  const std::vector<int64_t>* hit = Lookup(scratch);
-  if (hit == nullptr) {
-    // Retry with a trailing disambiguation year removed, a common pattern on
-    // film sites ("Do the Right Thing (1989)").
-    std::string_view stripped = StripTrailingYearView(scratch);
-    if (stripped.size() != scratch.size() && !stripped.empty()) {
-      hit = Lookup(stripped);
-    }
-  }
-  // Hot path: when metrics are off this whole block is one relaxed load +
-  // branch. The handles are resolved once per process and cached.
-  if (obs::Enabled()) {
-    static obs::Counter* const lookups =
-        obs::MetricsRegistry::Default().GetCounter("ceres_fuzzy_lookups_total");
-    static obs::Counter* const hits =
-        obs::MetricsRegistry::Default().GetCounter("ceres_fuzzy_hits_total");
-    lookups->Increment();
-    if (hit != nullptr) hits->Increment();
-  }
-  return hit != nullptr ? std::span<const int64_t>(*hit)
-                        : std::span<const int64_t>{};
-}
-
-std::vector<int64_t> FuzzyMatcher::Match(std::string_view text) const {
-  std::span<const int64_t> hit = MatchView(text);
-  return std::vector<int64_t>(hit.begin(), hit.end());
-}
-
-bool FuzzyMatcher::Matches(std::string_view text) const {
-  return !MatchView(text).empty();
 }
 
 }  // namespace ceres

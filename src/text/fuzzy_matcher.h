@@ -1,68 +1,16 @@
 #ifndef CERES_TEXT_FUZZY_MATCHER_H_
 #define CERES_TEXT_FUZZY_MATCHER_H_
 
-#include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 namespace ceres {
 
-/// Dictionary from surface strings to the ids registered under them, with
-/// fuzzy lookup: two strings match when their normalizations (NormalizeText)
-/// agree, and a text field with a trailing year token ("Selma (2014)") also
-/// matches the year-free name. This is the string-matching process the paper
-/// adopts from Gulhane et al. [18] for both topic identification and relation
-/// annotation.
-///
-/// The same id may be registered under several names (aliases); the same
-/// name may map to many ids (ambiguity, e.g. "Pilot" as a TV episode title).
-///
-/// Lookups are heterogeneous (string_view keys probe the index directly) and
-/// MatchView normalizes into a per-thread scratch buffer, so the per-call
-/// cost on the DOM-text-node hot path is hashing, not allocation. Concurrent
-/// MatchView/Match calls on a fully built matcher are safe; Add is not.
-class FuzzyMatcher {
- public:
-  FuzzyMatcher() = default;
-
-  /// Registers `id` under surface string `name`. Duplicate (name, id) pairs
-  /// are collapsed.
-  void Add(std::string_view name, int64_t id);
-
-  /// All ids whose registered names fuzzily match `text`. Order is the
-  /// registration order; no duplicates. The span aliases the matcher's
-  /// index and stays valid until the next Add.
-  std::span<const int64_t> MatchView(std::string_view text) const;
-
-  /// Copying variant of MatchView for callers that keep the result.
-  std::vector<int64_t> Match(std::string_view text) const;
-
-  /// True if any id is registered under a name matching `text`.
-  bool Matches(std::string_view text) const;
-
-  /// Number of distinct normalized keys in the dictionary.
-  size_t KeyCount() const { return index_.size(); }
-
- private:
-  // Heterogeneous hashing (C++20 P0919): find(string_view) probes without
-  // materializing a std::string key.
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  const std::vector<int64_t>* Lookup(std::string_view normalized) const;
-
-  std::unordered_map<std::string, std::vector<int64_t>, TransparentHash,
-                     std::equal_to<>>
-      index_;
-};
+/// Year handling of the fuzzy string matching the paper adopts from
+/// Gulhane et al. [18]: a text field with a trailing year token
+/// ("Selma (2014)") also matches the year-free name. KB mention matching
+/// (KnowledgeBase::MatchMentionsView) retries its lookup with the year
+/// stripped; fusion and evaluation compare subject names the same way.
 
 /// View of `normalized` with one trailing 4-digit-year token removed:
 /// "selma 2014" -> "selma". Returns the input unchanged when there is no

@@ -1,13 +1,14 @@
 // Parity of the hashed-feature-id path with the legacy string-named path.
 //
 // Feature ids are defined as Fnv1a64 of the exact legacy feature-name bytes
-// (ml/feature_id.h), so three properties together guarantee that training
+// (ml/feature_id.h), so two properties together guarantee that training
 // and extraction behave byte-identically to the string-named featurizer:
-//   1. every emitted id equals the hash of its traced legacy name,
+//   1. every emitted id equals the hash of its traced legacy name, and
 //   2. no two distinct names on the corpus collide into one id (dense
-//      indices then mirror the string path's first-occurrence order), and
-//   3. a model round-tripped through the version-1 string-named file format
-//      (names hashed on read) extracts identically to the in-memory model.
+//      indices then mirror the string path's first-occurrence order).
+// Model files carry the ids themselves (format version 2): a model
+// round-tripped through SaveModel/LoadModel extracts identically, and a
+// version-1 file with a string-named `#features` dictionary is rejected.
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,7 @@ TEST(FeatureIdParityTest, NoNameCollisionsAcrossTheCorpusVocabulary) {
   EXPECT_GT(global.size(), 50u);
 }
 
-TEST(FeatureIdParityTest, ExtractionIdenticalThroughV1StringNamedRoundTrip) {
+TEST(FeatureIdParityTest, V1StringNamedFileIsRejectedAndV2RoundTripIsExact) {
   ParityFixture fixture;
   ASSERT_FALSE(fixture.annotations.annotations.empty());
   FeatureExtractor featurizer(fixture.ptrs, FeatureConfig{});
@@ -155,31 +156,21 @@ TEST(FeatureIdParityTest, ExtractionIdenticalThroughV1StringNamedRoundTrip) {
   }
   v1_text.replace(ids_at, weights_at - ids_at, features_section);
 
-  std::istringstream v1_in(v1_text);
-  Result<TrainedModel> v1_model = LoadModel(&v1_in, fixture.kb.kb.ontology());
-  ASSERT_TRUE(v1_model.ok()) << v1_model.status().ToString();
+  // Version 1 is no longer read: the string-named dictionary, a missing
+  // #format section, and an explicit version 1 are each a typed error.
+  auto load_code = [&fixture](const std::string& text) {
+    std::istringstream in(text);
+    return LoadModel(&in, fixture.kb.kb.ontology()).status().code();
+  };
+  EXPECT_EQ(load_code(v1_text), StatusCode::kInvalidArgument);
+  std::string no_format = v2_text;
+  no_format.replace(no_format.find("#format\n2\n"), 10, "");
+  EXPECT_EQ(load_code(no_format), StatusCode::kInvalidArgument);
+  std::string version_one = v2_text;
+  version_one.replace(version_one.find("#format\n2\n"), 10, "#format\n1\n");
+  EXPECT_EQ(load_code(version_one), StatusCode::kInvalidArgument);
 
-  // The hash-on-read shim must rebuild the identical dictionary...
-  ASSERT_EQ(v1_model->features.size(), trained->features.size());
-  for (int32_t f = 0; f < trained->features.size(); ++f) {
-    EXPECT_EQ(v1_model->features.IdAt(f), trained->features.IdAt(f));
-  }
-
-  // ...and the loaded model must extract byte-identically.
-  FeatureExtractor v1_featurizer = MakeFeaturizer(*v1_model);
-  std::vector<Extraction> actual = ExtractFromPages(
-      fixture.ptrs, indices, &*v1_model, v1_featurizer, {});
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].page, expected[i].page);
-    EXPECT_EQ(actual[i].node, expected[i].node);
-    EXPECT_EQ(actual[i].predicate, expected[i].predicate);
-    EXPECT_EQ(actual[i].subject, expected[i].subject);
-    EXPECT_EQ(actual[i].object, expected[i].object);
-    EXPECT_EQ(actual[i].confidence, expected[i].confidence);
-  }
-
-  // The v2 round trip is exact as well.
+  // The v2 round trip is exact.
   std::istringstream v2_in(v2_text);
   Result<TrainedModel> v2_model = LoadModel(&v2_in, fixture.kb.kb.ontology());
   ASSERT_TRUE(v2_model.ok()) << v2_model.status().ToString();

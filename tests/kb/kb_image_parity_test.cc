@@ -1,9 +1,9 @@
 // Parity tests: a KB opened from its mmap'd image must answer every query
 // byte-identically to the heap-frozen KB that wrote the image. The two
-// backings share serving code by construction (both read the flat image),
-// so these tests concentrate on the one divergent path — mention matching,
-// which is hash-accelerated on the heap KB and binary-searched on the
-// mapped KB — plus end-to-end pipeline output.
+// backings share serving code by construction (both read the flat image
+// through one code path per query), so these tests guard that invariant
+// at corpus scale: mention matching over every name and alias, the triple
+// and object queries, and end-to-end pipeline output.
 
 #include <gtest/gtest.h>
 

@@ -84,6 +84,30 @@ TEST(KbImageTest, SaveThenOpenRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(KbImageTest, EmptySectionsRoundTrip) {
+  // No aliases and no triples: the alias, triple, object and object-string
+  // sections are all empty, and writing them must not read from a null
+  // section buffer.
+  KnowledgeBase kb(MakeOntology());
+  TypeId film = *kb.ontology().TypeByName("film");
+  kb.AddEntity(film, "Crooklyn");
+  kb.AddEntity(film, "Malcolm X");
+  kb.Freeze();
+  const std::string path = TempPath("empty_sections.kbi");
+  ASSERT_TRUE(kb.SaveImage(path).ok());
+
+  KnowledgeBase::OpenOptions options;
+  options.verify_checksum = true;
+  Result<KnowledgeBase> mapped = KnowledgeBase::OpenImage(path, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->num_entities(), 2);
+  EXPECT_EQ(mapped->num_triples(), 0);
+  EXPECT_TRUE(mapped->entity(0).aliases.empty());
+  EXPECT_TRUE(mapped->TriplesWithSubject(1).empty());
+  EXPECT_EQ(mapped->MatchMentions("malcolm x"), (std::vector<EntityId>{1}));
+  std::remove(path.c_str());
+}
+
 TEST(KbImageTest, OpenMissingFileIsNotFound) {
   Result<KnowledgeBase> kb =
       KnowledgeBase::OpenImage(TempPath("does_not_exist.kbi"));

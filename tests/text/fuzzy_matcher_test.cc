@@ -5,82 +5,6 @@
 namespace ceres {
 namespace {
 
-TEST(FuzzyMatcherTest, ExactNormalizedMatch) {
-  FuzzyMatcher matcher;
-  matcher.Add("Do the Right Thing", 1);
-  EXPECT_EQ(matcher.Match("do the right thing"), (std::vector<int64_t>{1}));
-  EXPECT_EQ(matcher.Match("DO THE RIGHT THING!"), (std::vector<int64_t>{1}));
-  EXPECT_TRUE(matcher.Match("something else").empty());
-}
-
-TEST(FuzzyMatcherTest, AmbiguousStringsReturnAllIds) {
-  FuzzyMatcher matcher;
-  matcher.Add("Pilot", 10);
-  matcher.Add("Pilot", 20);
-  matcher.Add("Pilot", 30);
-  EXPECT_EQ(matcher.Match("Pilot").size(), 3u);
-}
-
-TEST(FuzzyMatcherTest, DuplicateRegistrationCollapsed) {
-  FuzzyMatcher matcher;
-  matcher.Add("Selma", 5);
-  matcher.Add("Selma", 5);
-  EXPECT_EQ(matcher.Match("Selma"), (std::vector<int64_t>{5}));
-}
-
-TEST(FuzzyMatcherTest, AliasesMapToSameId) {
-  FuzzyMatcher matcher;
-  matcher.Add("Samuel Clemens", 3);
-  matcher.Add("Mark Twain", 3);
-  EXPECT_EQ(matcher.Match("mark twain"), (std::vector<int64_t>{3}));
-  EXPECT_EQ(matcher.Match("Samuel Clemens"), (std::vector<int64_t>{3}));
-}
-
-TEST(FuzzyMatcherTest, TrailingYearStripped) {
-  FuzzyMatcher matcher;
-  matcher.Add("Do the Right Thing", 1);
-  EXPECT_EQ(matcher.Match("Do the Right Thing (1989)"),
-            (std::vector<int64_t>{1}));
-}
-
-TEST(FuzzyMatcherTest, YearNotStrippedWhenNameHasYear) {
-  FuzzyMatcher matcher;
-  matcher.Add("Class of 1984", 7);
-  EXPECT_EQ(matcher.Match("Class of 1984"), (std::vector<int64_t>{7}));
-}
-
-TEST(FuzzyMatcherTest, AccentInsensitive) {
-  FuzzyMatcher matcher;
-  matcher.Add("Amélie", 9);
-  EXPECT_EQ(matcher.Match("Amelie"), (std::vector<int64_t>{9}));
-}
-
-TEST(FuzzyMatcherTest, EmptyAndBlankNeverMatch) {
-  FuzzyMatcher matcher;
-  matcher.Add("", 1);
-  matcher.Add("  !! ", 2);
-  EXPECT_EQ(matcher.KeyCount(), 0u);
-  EXPECT_TRUE(matcher.Match("").empty());
-}
-
-TEST(FuzzyMatcherTest, MatchViewAliasesIndexAndAgreesWithMatch) {
-  FuzzyMatcher matcher;
-  matcher.Add("Do the Right Thing", 1);
-  matcher.Add("Pilot", 10);
-  matcher.Add("Pilot", 20);
-  const std::span<const int64_t> hit = matcher.MatchView("pilot");
-  EXPECT_EQ(std::vector<int64_t>(hit.begin(), hit.end()),
-            matcher.Match("pilot"));
-  // The span is a view into the matcher's index, valid across lookups.
-  const std::span<const int64_t> other =
-      matcher.MatchView("DO THE RIGHT THING (1989)");
-  EXPECT_EQ(std::vector<int64_t>(other.begin(), other.end()),
-            (std::vector<int64_t>{1}));
-  EXPECT_EQ(std::vector<int64_t>(hit.begin(), hit.end()),
-            (std::vector<int64_t>{10, 20}));
-  EXPECT_TRUE(matcher.MatchView("nobody").empty());
-}
-
 TEST(StripTrailingYearTest, ViewVariantAgreesWithCopyingVariant) {
   for (const char* input :
        {"selma 2014", "selma", "2014", "top 100", "war 19999"}) {

@@ -48,7 +48,8 @@ echo "== tier1: configure ($build_dir)"
 cmake -B "$build_dir" -S "$repo_root" -DCERES_WERROR=ON $sanitize_flags
 
 echo "== tier1: build"
-cmake --build "$build_dir" -j
+# Bounded: a bare -j starts one compiler per target at every make level.
+cmake --build "$build_dir" -j "$(nproc)"
 
 # The lint target runs the whole-program pass (layer DAG from
 # tools/lint/layers.txt) and persists the machine-readable report as
