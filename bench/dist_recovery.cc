@@ -38,6 +38,7 @@
 #include "dist/coordinator.h"
 #include "robustness/fault_injector.h"
 #include "synth/corpora.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
   // so faults and completion counts are framed in populated shards.
   std::vector<int32_t> populated;
   for (const dist::ShardSite& site : sites) {
-    const int32_t shard = dist::ShardOfSite(site.site, num_shards);
+    const int32_t shard = ShardOfSite(site.site, num_shards);
     if (std::find(populated.begin(), populated.end(), shard) ==
         populated.end()) {
       populated.push_back(shard);

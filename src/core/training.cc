@@ -162,9 +162,9 @@ Result<TrainedModel> TrainExtractor(
   trained.classes = std::move(set->classes);
   trained.feature_config = featurizer.config();
   trained.frequent_strings = featurizer.frequent_strings();
-  Result<LbfgsResult> fit =
-      trained.model.Train(set->examples, trained.features.size(),
-                          trained.classes.num_classes(), config.logreg);
+  Result<LbfgsResult> fit = trained.model.Train(
+      set->examples, trained.features.size(), trained.classes.num_classes(),
+      config.logreg, config.deadline);
   if (!fit.ok()) return fit.status();
   trained.solver = *fit;
   return trained;

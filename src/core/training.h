@@ -34,8 +34,9 @@ struct TrainingConfig {
   uint64_t seed = 42;
   LogRegConfig logreg;
   /// Cooperative time budget, checked at page granularity while building
-  /// training examples and again before fitting; expiry fails the training
-  /// with kDeadlineExceeded / kCancelled.
+  /// training examples, again before fitting, and once per L-BFGS
+  /// iteration while fitting; expiry fails the training with
+  /// kDeadlineExceeded / kCancelled.
   Deadline deadline;
 };
 

@@ -693,12 +693,6 @@ class Coordinator {
 
 }  // namespace
 
-int32_t ShardOfSite(std::string_view site, int32_t num_shards) {
-  if (num_shards <= 0) return 0;
-  return static_cast<int32_t>(Fnv1a64(site) %
-                              static_cast<uint64_t>(num_shards));
-}
-
 std::string DistDiagnostics::Summary() const {
   std::string out = StrCat("shards: ", shards_completed, " completed (",
                            shards_from_checkpoint, " from checkpoint), ",

@@ -129,11 +129,6 @@ struct DistResult {
   DistDiagnostics diagnostics;
 };
 
-/// The shard a site belongs to: stable FNV-1a hash of the site name modulo
-/// `num_shards`. Agreeing across processes and runs is what makes
-/// checkpoints resumable, so this must never depend on std::hash.
-int32_t ShardOfSite(std::string_view site, int32_t num_shards);
-
 /// Runs distributed extraction over `corpus` (one entry per site; pages
 /// are raw HTML, parsed worker-side by the resilient loader).
 ///

@@ -24,7 +24,8 @@ double InfNorm(const std::vector<double>& v) {
 }  // namespace
 
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
-                          std::vector<double>* x, const LbfgsConfig& config) {
+                          std::vector<double>* x, const LbfgsConfig& config,
+                          const Deadline& deadline) {
   const size_t dim = x->size();
   LbfgsResult result;
   std::vector<double> grad(dim, 0.0);
@@ -51,6 +52,10 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   std::vector<double> grad_next(dim, 0.0);
 
   for (int iter = 0; iter < config.max_iterations; ++iter) {
+    if (deadline.expired()) {
+      result.deadline_expired = true;
+      break;
+    }
     result.iterations = iter + 1;
     if (InfNorm(grad) / std::max(1.0, InfNorm(*x)) <
         config.gradient_tolerance) {

@@ -4,6 +4,8 @@
 #include <functional>
 #include <vector>
 
+#include "util/deadline.h"
+
 namespace ceres {
 
 /// Configuration for the L-BFGS minimizer.
@@ -33,6 +35,8 @@ struct LbfgsResult {
   /// True when a line search found no sufficient decrease within
   /// max_line_search steps; the run then stops at the best point so far.
   bool line_search_failed = false;
+  /// True when the run stopped because its deadline expired.
+  bool deadline_expired = false;
   double final_objective = 0.0;
 };
 
@@ -44,11 +48,14 @@ using LbfgsObjective =
 
 /// Minimizes `objective` starting from *x using limited-memory BFGS with an
 /// Armijo backtracking line search. On return *x holds the best point
-/// found. This powers ml::LogisticRegression, matching the paper's choice
-/// of scikit-learn's LBFGS solver (§5.2).
+/// found. `deadline` (time budget and cancellation) is checked once per
+/// iteration; expiry stops the run with `deadline_expired` set. This powers
+/// ml::LogisticRegression, matching the paper's choice of scikit-learn's
+/// LBFGS solver (§5.2).
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
                           std::vector<double>* x,
-                          const LbfgsConfig& config = {});
+                          const LbfgsConfig& config = {},
+                          const Deadline& deadline = Deadline());
 
 }  // namespace ceres
 

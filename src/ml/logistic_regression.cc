@@ -102,7 +102,8 @@ double LogRegObjective::operator()(const std::vector<double>& w,
 
 Result<LbfgsResult> LogisticRegression::Train(
     const std::vector<LabeledExample>& examples, int32_t num_features,
-    int32_t num_classes, const LogRegConfig& config) {
+    int32_t num_classes, const LogRegConfig& config,
+    const Deadline& deadline) {
   if (examples.empty()) {
     return Status::InvalidArgument("no training examples");
   }
@@ -125,7 +126,12 @@ Result<LbfgsResult> LogisticRegression::Train(
   LogRegObjective objective(examples, num_features, num_classes, config);
   std::vector<double> params(objective.dim(), 0.0);
   LbfgsResult solver_result =
-      MinimizeLbfgs(std::ref(objective), &params, config.solver);
+      MinimizeLbfgs(std::ref(objective), &params, config.solver, deadline);
+  if (solver_result.deadline_expired) {
+    Status stopped = deadline.Check(
+        StrCat("L-BFGS iteration ", solver_result.iterations + 1));
+    if (!stopped.ok()) return stopped;
+  }
   weights_ = std::move(params);
   trained_ = true;
   return solver_result;

@@ -6,6 +6,7 @@
 
 #include "ml/lbfgs.h"
 #include "ml/sparse_vector.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace ceres {
@@ -85,11 +86,14 @@ class LogisticRegression {
   LogisticRegression() = default;
 
   /// Fits the model on `examples`. num_features bounds the feature indices,
-  /// num_classes the labels. Returns solver statistics or an error for
-  /// malformed inputs (no examples, label out of range).
+  /// num_classes the labels. Returns solver statistics, an error for
+  /// malformed inputs (no examples, label out of range), or kDeadlineExceeded
+  /// / kCancelled when `deadline` stops the solver (checked once per L-BFGS
+  /// iteration; the model then stays untrained).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
-                            const LogRegConfig& config = {});
+                            const LogRegConfig& config = {},
+                            const Deadline& deadline = Deadline());
 
   /// Class probabilities for one example; requires a trained model.
   std::vector<double> PredictProbabilities(const SparseVector& features) const;

@@ -29,7 +29,7 @@
 /// instrumented hot paths (e.g. `KnowledgeBase::MatchMentionsView`) cost
 /// a single relaxed atomic load + branch when observability is not
 /// requested.
-/// Drivers that want metrics (`ceres_serve`, benches, tests) call
+/// Drivers that want metrics (`ceres_httpd`, benches, tests) call
 /// `SetEnabled(true)`.
 ///
 /// Naming scheme (see DESIGN.md "Observability"):

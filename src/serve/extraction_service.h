@@ -60,6 +60,11 @@ struct ExtractionServiceConfig {
 
 /// A long-running online extraction service over a ModelRegistry.
 ///
+/// This is one shard of the serving tier. ShardedExtractionService
+/// (serve/sharded_service.h) owns one per shard and is the entry point
+/// every driver and bench serves through; only the serve tier and its
+/// tests construct this class directly.
+///
 /// Submit(request) admits the request (bounded queue, pre-expired-deadline
 /// shedding), enqueues it on its site's micro-batch queue, and returns a
 /// future. Worker threads — a pool fanned out over util/parallel.h's

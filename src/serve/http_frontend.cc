@@ -341,7 +341,7 @@ void ExtractionFrontend::PumpLoop() {
       pending_.pop_front();
       ++inflight_;
     }
-    // Blocking get: the near-dup cache insert already ran on the shard
+    // Blocking get: the page-cache insert already ran on the shard
     // worker by the time the future is ready.
     ServeResult result = completion.future.get();
     const int http_status = HttpStatusForCode(result.status.code());

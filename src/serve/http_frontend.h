@@ -21,7 +21,7 @@ namespace ceres::serve {
 /// Stable JSON rendering of one extraction outcome; the single source of
 /// truth for the HTTP response body. Exposed so tests can assert that a
 /// loopback response is byte-identical to encoding a direct
-/// ExtractionService::Submit result.
+/// ShardedExtractionService::Submit result.
 std::string EncodeServeResultJson(const std::string& site,
                                   const ServeResult& result);
 

@@ -1,6 +1,7 @@
 #include "serve/page_cache.h"
 
-#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -14,124 +15,128 @@ void BumpCacheCounter(const char* name, int64_t delta = 1) {
   obs::MetricsRegistry::Default().GetCounter(name)->Increment(delta);
 }
 
+size_t PageKey(std::string_view html) {
+  return std::hash<std::string_view>{}(html);
+}
+
 }  // namespace
 
 NearDupCache::NearDupCache(PageCacheConfig config)
     : config_(std::move(config)) {}
 
-uint64_t NearDupCache::Fingerprint(std::string_view html) const {
-  return Simhash64(html, config_.simhash);
-}
-
-size_t NearDupCache::EntryBytes(const std::string& site,
-                                const CachedExtraction& result) {
-  // Fixed overhead per entry: list node, site-index slot, bookkeeping.
-  // The diagnostics payload is cached (and replayed on hits) too, so it
-  // counts against the byte budget like everything else.
-  size_t bytes = 128 + site.size() + sizeof(result.diagnostics);
-  for (const Extraction& triple : result.triples) {
+size_t NearDupCache::EntryBytes(const Entry& entry) {
+  // Fixed overhead per entry: list node, index slot, bookkeeping. The page
+  // bytes (kept for the hit compare) and the diagnostics payload (replayed
+  // on hits) count against the byte budget like the triples.
+  size_t bytes = 128 + entry.site.size() + entry.html.size() +
+                 sizeof(entry.result.diagnostics);
+  for (const Extraction& triple : entry.result.triples) {
     bytes += sizeof(Extraction) + triple.subject.size() +
              triple.object.size();
   }
   return bytes;
 }
 
-bool NearDupCache::Lookup(const std::string& site, uint64_t fingerprint,
-                          CachedExtraction* out) {
-  if (!config_.enabled) return false;
-  MutexLock lock(mu_);
-  auto site_it = by_site_.find(site);
-  if (site_it != by_site_.end()) {
-    for (EntryList::iterator entry : site_it->second) {
-      if (HammingDistance(entry->fingerprint, fingerprint) <=
-          config_.hamming_threshold) {
-        lru_.splice(lru_.begin(), lru_, entry);
-        ++stats_.hits;
-        BumpCacheCounter("ceres_cache_neardup_hits_total");
-        *out = entry->result;
-        return true;
-      }
-    }
+NearDupCache::EntryList::iterator NearDupCache::FindLocked(
+    size_t key, const std::string& site, std::string_view html) {
+  auto [begin, end] = index_.equal_range(key);
+  for (auto it = begin; it != end; ++it) {
+    const Entry& entry = *it->second;
+    if (entry.site == site && entry.html == html) return it->second;
   }
-  ++stats_.misses;
-  BumpCacheCounter("ceres_cache_neardup_misses_total");
-  return false;
+  return lru_.end();
 }
 
-void NearDupCache::Insert(const std::string& site, uint64_t fingerprint,
-                          CachedExtraction result) {
-  if (!config_.enabled) return;
+bool NearDupCache::Lookup(const std::string& site, std::string_view html,
+                          CachedExtraction* out) {
+  if (!config_.enabled) return false;
+  const size_t key = PageKey(html);
   MutexLock lock(mu_);
-  auto site_it = by_site_.find(site);
-  if (site_it != by_site_.end()) {
-    for (EntryList::iterator entry : site_it->second) {
-      if (entry->fingerprint == fingerprint) {
-        // Refresh in place: latest extraction of this exact page wins.
-        // Accounting-wise this is an insertion that evicts the payload it
-        // replaces, keeping the identity
-        //   insertions == entries + evictions + invalidations
-        // intact (a plain refresh without the pair would leave an entry
-        // no insertion ever claimed to produce).
-        bytes_ -= entry->bytes;
-        entry->bytes = EntryBytes(site, result);
-        entry->result = std::move(result);
-        bytes_ += entry->bytes;
-        lru_.splice(lru_.begin(), lru_, entry);
-        ++stats_.insertions;
-        ++stats_.evictions;
-        EvictOverBudgetLocked();
-        return;
-      }
-    }
+  EntryList::iterator entry = FindLocked(key, site, html);
+  if (entry == lru_.end()) {
+    ++stats_.misses;
+    BumpCacheCounter("ceres_cache_neardup_misses_total");
+    return false;
   }
-  Entry entry;
-  entry.site = site;
-  entry.fingerprint = fingerprint;
-  entry.bytes = EntryBytes(site, result);
-  entry.result = std::move(result);
-  bytes_ += entry.bytes;
-  lru_.push_front(std::move(entry));
-  by_site_[site].push_back(lru_.begin());
+  lru_.splice(lru_.begin(), lru_, entry);
+  ++stats_.hits;
+  BumpCacheCounter("ceres_cache_neardup_hits_total");
+  *out = entry->result;
+  return true;
+}
+
+uint64_t NearDupCache::generation() const {
+  MutexLock lock(mu_);
+  return generation_;
+}
+
+void NearDupCache::Insert(const std::string& site, std::string html,
+                          CachedExtraction result, uint64_t generation) {
+  if (!config_.enabled) return;
+  const size_t key = PageKey(html);
+  MutexLock lock(mu_);
+  if (generation != generation_) return;
+  EntryList::iterator entry = FindLocked(key, site, html);
+  if (entry != lru_.end()) {
+    // Refresh in place: latest extraction of this page wins. Accounting-
+    // wise this is an insertion that evicts the payload it replaces,
+    // keeping insertions == entries + evictions + invalidations intact.
+    bytes_ -= entry->bytes;
+    entry->result = std::move(result);
+    entry->bytes = EntryBytes(*entry);
+    bytes_ += entry->bytes;
+    lru_.splice(lru_.begin(), lru_, entry);
+    ++stats_.insertions;
+    ++stats_.evictions;
+    EvictOverBudgetLocked();
+    return;
+  }
+  lru_.push_front(Entry{site, std::move(html), key, 0, std::move(result)});
+  lru_.front().bytes = EntryBytes(lru_.front());
+  bytes_ += lru_.front().bytes;
+  index_.emplace(key, lru_.begin());
   ++stats_.insertions;
   EvictOverBudgetLocked();
 }
 
-void NearDupCache::EraseFromSiteIndexLocked(EntryList::iterator it) {
-  auto site_it = by_site_.find(it->site);
-  if (site_it == by_site_.end()) return;
-  auto& entries = site_it->second;
-  entries.erase(std::remove(entries.begin(), entries.end(), it),
-                entries.end());
-  if (entries.empty()) by_site_.erase(site_it);
+void NearDupCache::EraseLocked(EntryList::iterator it) {
+  auto [begin, end] = index_.equal_range(it->key);
+  for (auto slot = begin; slot != end; ++slot) {
+    if (slot->second == it) {
+      index_.erase(slot);
+      break;
+    }
+  }
+  bytes_ -= it->bytes;
+  lru_.erase(it);
 }
 
 void NearDupCache::EvictOverBudgetLocked() {
   while (bytes_ > config_.max_bytes && !lru_.empty()) {
-    EntryList::iterator victim = std::prev(lru_.end());
-    bytes_ -= victim->bytes;
-    EraseFromSiteIndexLocked(victim);
-    lru_.erase(victim);
+    EraseLocked(std::prev(lru_.end()));
     ++stats_.evictions;
   }
 }
 
 void NearDupCache::InvalidateSite(const std::string& site) {
   MutexLock lock(mu_);
-  auto site_it = by_site_.find(site);
-  if (site_it == by_site_.end()) return;
-  for (EntryList::iterator entry : site_it->second) {
-    bytes_ -= entry->bytes;
-    lru_.erase(entry);
-    ++stats_.invalidations;
+  ++generation_;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    auto next = std::next(it);
+    if (it->site == site) {
+      EraseLocked(it);
+      ++stats_.invalidations;
+    }
+    it = next;
   }
-  by_site_.erase(site_it);
 }
 
 void NearDupCache::Clear() {
   MutexLock lock(mu_);
+  ++generation_;
   stats_.invalidations += static_cast<int64_t>(lru_.size());
   lru_.clear();
-  by_site_.clear();
+  index_.clear();
   bytes_ = 0;
 }
 

@@ -4,33 +4,29 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
 #include "serve/serve_diagnostics.h"
-#include "util/simhash.h"
 #include "util/status.h"
 #include "util/sync.h"
 
 namespace ceres::serve {
 
-/// Configuration of the near-duplicate page cache.
+/// Configuration of the page cache.
 struct PageCacheConfig {
   /// Master switch; a disabled cache never hits and never stores.
   bool enabled = true;
-  /// Byte budget for resident entries (site keys + triples). LRU entries
-  /// are evicted when the resident estimate exceeds it.
+  /// Byte budget for resident entries (site key, page bytes, triples).
+  /// LRU entries are evicted when the resident estimate exceeds it.
   size_t max_bytes = size_t{32} << 20;
-  /// Two fingerprints within this Hamming distance are near-duplicates.
-  /// 0 requires identical fingerprints; 64 would match anything.
-  int hamming_threshold = 3;
-  SimhashConfig simhash;
 };
 
 /// Monotonic counters plus the current resident set. The counters keep
-/// the identity `insertions == entries + evictions + invalidations`: an
-/// exact-fingerprint refresh counts as one insertion plus one eviction
+/// the identity `insertions == entries + evictions + invalidations`: a
+/// re-insert of a resident page counts as one insertion plus one eviction
 /// (of the payload it replaced), and Clear counts its drops as
 /// invalidations.
 struct PageCacheStats {
@@ -50,23 +46,32 @@ struct CachedExtraction {
   ServeDiagnostics diagnostics;
 };
 
-/// A near-duplicate page cache keyed by (site, simhash fingerprint).
+/// An exact page cache keyed by (site, page bytes).
 ///
-/// Crawled sites re-serve the same detail page with trivial churn — view
-/// counters, ad markup, timestamp footers — and re-crawls hand the serving
-/// tier near-identical HTML over and over. Parsing and model inference on
-/// such a page reproduces the extractions of its near-twin, so the serving
-/// tier fingerprints every page with a 64-bit simhash (util/simhash.h) and
-/// remembers recent extraction results: a lookup whose fingerprint lies
-/// within `hamming_threshold` bits of a cached page of the same site is
-/// served from the cache, skipping parse and inference entirely.
+/// Re-crawls hand the serving tier the same detail page over and over.
+/// Parsing and model inference on a page the site's current model has
+/// already extracted reproduces that extraction, so the serving tier
+/// remembers recent results and answers a byte-identical resend of a page
+/// of the same site from the cache, skipping parse and inference.
 ///
-/// Scoping by site keeps the Hamming scan short (a linear probe of the
-/// site's resident fingerprints) and makes invalidation natural: when a
-/// site's model is republished or invalidated, its cached extractions are
-/// stale — InvalidateSite drops exactly them. Eviction is global LRU under
-/// a byte budget, charging each entry its triples' string bytes plus fixed
-/// overhead. Thread-safe; every operation is one short critical section.
+/// A hit requires identical bytes. Anything looser serves wrong facts:
+/// two pages of one site template differ in a few field values, and
+/// those values are exactly the facts extracted. Entries sit in a hash
+/// map keyed by a hash of the HTML; each keeps its site and page bytes,
+/// and a lookup compares both before it hits. The stored bytes are
+/// charged to the byte budget with the triples and a fixed per-entry
+/// overhead.
+///
+/// The type, counter and diagnostic names (`near_dup_hit`,
+/// `ceres_cache_neardup_*`) predate the exact match and are kept so the
+/// JSON API and metrics stay stable; a "near-dup" hit is an exact one.
+///
+/// When a site's model is republished or invalidated its cached
+/// extractions are stale; InvalidateSite drops exactly them and bumps the
+/// cache generation, so an extraction that was in flight across the
+/// republish (run on the old model) cannot re-populate the cache. Eviction
+/// is global LRU under the byte budget. Thread-safe; every operation is one
+/// short critical section (the key hash is computed outside it).
 class NearDupCache {
  public:
   explicit NearDupCache(PageCacheConfig config = {});
@@ -74,21 +79,21 @@ class NearDupCache {
   NearDupCache(const NearDupCache&) = delete;
   NearDupCache& operator=(const NearDupCache&) = delete;
 
-  /// The fingerprint Lookup/Insert expect for `html` under this cache's
-  /// shingle configuration.
-  uint64_t Fingerprint(std::string_view html) const;
-
-  /// True (and fills `out`) when a near-duplicate of `fingerprint` is
-  /// resident for `site`; refreshes that entry's LRU position.
-  bool Lookup(const std::string& site, uint64_t fingerprint,
+  /// True (and fills `out`) when a result for exactly `html` is resident
+  /// for `site`; refreshes that entry's LRU position.
+  bool Lookup(const std::string& site, std::string_view html,
               CachedExtraction* out);
 
-  /// Stores `result` under (site, fingerprint). An exact-fingerprint match
-  /// already resident for the site is refreshed in place (latest result
-  /// wins); near-but-not-identical twins are stored separately so the
-  /// threshold keeps matching future variants of either.
-  void Insert(const std::string& site, uint64_t fingerprint,
-              CachedExtraction result);
+  /// Bumped by every InvalidateSite and Clear. Read it before starting
+  /// the extraction whose result will be inserted.
+  uint64_t generation() const;
+
+  /// Stores `result` for (site, html), unless an invalidation ran since
+  /// `generation` was read: the result may then come from a replaced
+  /// model and is dropped. A resident entry for the same page is
+  /// refreshed in place (latest result wins).
+  void Insert(const std::string& site, std::string html,
+              CachedExtraction result, uint64_t generation);
 
   /// Drops every entry of `site` (model republished / invalidated).
   void InvalidateSite(const std::string& site);
@@ -101,26 +106,31 @@ class NearDupCache {
  private:
   struct Entry {
     std::string site;
-    uint64_t fingerprint = 0;
+    std::string html;
+    size_t key = 0;
     size_t bytes = 0;
     CachedExtraction result;
   };
   using EntryList = std::list<Entry>;
 
-  static size_t EntryBytes(const std::string& site,
-                           const CachedExtraction& result);
+  static size_t EntryBytes(const Entry& entry);
+  /// The resident entry for (site, html) under `key`, or lru_.end().
+  EntryList::iterator FindLocked(size_t key, const std::string& site,
+                                 std::string_view html) CERES_REQUIRES(mu_);
+  /// Unlinks `it` from the index and the LRU list.
+  void EraseLocked(EntryList::iterator it) CERES_REQUIRES(mu_);
   void EvictOverBudgetLocked() CERES_REQUIRES(mu_);
-  void EraseFromSiteIndexLocked(EntryList::iterator it) CERES_REQUIRES(mu_);
 
   const PageCacheConfig config_;
 
   mutable CheckedMutex mu_{"NearDupCache.mu"};
   /// Most-recently used at the front.
   EntryList lru_ CERES_GUARDED_BY(mu_);
-  /// Per-site resident entries, the Hamming scan set for a lookup.
-  std::unordered_map<std::string, std::vector<EntryList::iterator>> by_site_
+  /// HTML hash -> resident entries with that hash (any site).
+  std::unordered_multimap<size_t, EntryList::iterator> index_
       CERES_GUARDED_BY(mu_);
   size_t bytes_ CERES_GUARDED_BY(mu_) = 0;
+  uint64_t generation_ CERES_GUARDED_BY(mu_) = 0;
   PageCacheStats stats_ CERES_GUARDED_BY(mu_);
 };
 

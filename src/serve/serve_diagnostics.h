@@ -50,9 +50,10 @@ struct ServeDiagnostics {
   /// True when the site model came from the warm cache; false when this
   /// batch paid a cold load.
   bool model_cache_hit = false;
-  /// True when the result was served from the near-duplicate page cache —
-  /// the request skipped parse and inference entirely; the timing fields
-  /// are those of the original (cached) extraction.
+  /// True when the result was served from the page cache (a byte-identical
+  /// resend of a page of the same site) — the request skipped parse and
+  /// inference entirely; the timing fields are those of the original
+  /// (cached) extraction. The name predates the exact match.
   bool near_dup_hit = false;
   /// Version of the site model applied; -1 when no model was reached.
   int64_t model_version = -1;

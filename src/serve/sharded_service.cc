@@ -42,17 +42,13 @@ void ShardedExtractionService::Stop() {
 }
 
 size_t ShardedExtractionService::ShardOf(std::string_view site) const {
-  // Must agree with dist::ShardOfSite — stable FNV-1a, never std::hash.
-  return static_cast<size_t>(
-      Fnv1a64(site) % static_cast<uint64_t>(config_.num_shards));
+  return static_cast<size_t>(ShardOfSite(site, config_.num_shards));
 }
 
 std::future<ServeResult> ShardedExtractionService::Submit(
     ServeRequest request) {
-  const std::string site = request.site;
-  const uint64_t fingerprint = cache_.Fingerprint(request.html);
   CachedExtraction cached;
-  if (cache_.Lookup(site, fingerprint, &cached)) {
+  if (cache_.Lookup(request.site, request.html, &cached)) {
     ServeResult result;
     result.status = Status::Ok();
     result.triples = std::move(cached.triples);
@@ -62,6 +58,10 @@ std::future<ServeResult> ShardedExtractionService::Submit(
     promise.set_value(std::move(result));
     return promise.get_future();
   }
+  Shard& shard = *shards_[ShardOf(request.site)];
+  if (!cache_.config().enabled) {
+    return shard.service->Submit(std::move(request));
+  }
   // The cache insert rides the shard's completion hook, which runs on the
   // resolving thread strictly before the future becomes ready — exactly
   // once per result, and never lazily. The returned future is the shard's
@@ -69,17 +69,20 @@ std::future<ServeResult> ShardedExtractionService::Submit(
   // std::async future reports future_status::deferred forever), and the
   // hook's `this` capture lives only inside the shard service, which this
   // object owns and stops before the cache is destroyed — an unconsumed
-  // future outliving *this cannot dangle.
-  return shards_[ShardOf(site)]->service->Submit(
-      std::move(request),
-      [this, site, fingerprint](const ServeResult& result) {
+  // future outliving *this cannot dangle. The hook keeps its own copy of
+  // the page: the request itself moves into the shard. The generation is
+  // read before the shard can apply a model, so a Publish that lands while
+  // this request is in flight keeps its (possibly old-model) result out.
+  ExtractionService::CompletionHook insert =
+      [this, site = request.site, html = request.html,
+       generation = cache_.generation()](const ServeResult& result) mutable {
         if (result.status.ok() && !result.diagnostics.near_dup_hit) {
-          CachedExtraction entry;
-          entry.triples = result.triples;
-          entry.diagnostics = result.diagnostics;
-          cache_.Insert(site, fingerprint, std::move(entry));
+          cache_.Insert(site, std::move(html),
+                        CachedExtraction{result.triples, result.diagnostics},
+                        generation);
         }
-      });
+      };
+  return shard.service->Submit(std::move(request), std::move(insert));
 }
 
 Result<int64_t> ShardedExtractionService::Publish(const std::string& site,

@@ -24,7 +24,7 @@ struct ShardedServiceConfig {
   /// Per-shard model registry configuration. `root_dir` is the base path;
   /// shard i stores models under `<root_dir>/shard-<i>`.
   ModelRegistryConfig registry;
-  /// The near-duplicate page cache fronting all shards.
+  /// The exact page cache fronting all shards.
   PageCacheConfig cache;
 };
 
@@ -32,30 +32,30 @@ struct ShardedServiceConfig {
 struct ShardedServiceStats {
   std::vector<ServiceStats> per_shard;
   PageCacheStats cache;
-  /// Requests answered from the near-duplicate cache (never reached a
-  /// shard). Equals cache.hits; surfaced here for one-stop reporting.
+  /// Requests answered from the page cache (never reached a shard).
+  /// Equals cache.hits; surfaced here for one-stop reporting.
   int64_t near_dup_served = 0;
 };
 
-/// The service tier behind the HTTP front-end: N independent
-/// ModelRegistry + ExtractionService pairs, partitioned by site.
+/// The serving entry point: every tool, bench and the HTTP front-end
+/// serves through this class (`num_shards = 1` for the simple case). It
+/// owns N independent ModelRegistry + ExtractionService pairs,
+/// partitioned by site.
 ///
-/// Partitioning uses the same stable site hash as the offline distributed
-/// runner (`dist::ShardOfSite`: FNV-1a of the site name modulo shard
-/// count — reimplemented here so the serving tier does not link the
-/// process-spawning dist library). All requests for one site land on one
-/// shard, so each shard's registry warms exactly the models its sites
-/// need and per-site batching keeps its locality; distinct shards share
-/// nothing and never contend.
+/// Partitioning uses ShardOfSite (util/string_util.h), the stable site
+/// hash the offline distributed runner shards by. All requests for one
+/// site land on one shard, so each shard's registry warms exactly the
+/// models its sites need and per-site batching keeps its locality;
+/// distinct shards share nothing and never contend.
 ///
-/// In front of the shards sits a NearDupCache: Submit fingerprints the
-/// page and a near-duplicate hit resolves immediately with the cached
-/// triples (`diagnostics.near_dup_hit`), skipping parse and inference.
-/// Misses are forwarded to the owning shard; the completed result is
-/// inserted into the cache by the shard's completion hook, on the worker
-/// thread that resolved it, before the future becomes ready. Publishing
-/// or invalidating a site's model drops the site's cached extractions in
-/// the same call, so a hot-swap is never served stale results.
+/// In front of the shards sits the exact page cache (NearDupCache): a
+/// byte-identical resend of a page of the same site resolves immediately
+/// with the cached triples (`diagnostics.near_dup_hit`), skipping parse
+/// and inference. Misses are forwarded to the owning shard; the completed
+/// result is inserted into the cache by the shard's completion hook, on
+/// the worker thread that resolved it, before the future becomes ready.
+/// Publishing or invalidating a site's model drops the site's cached
+/// extractions in the same call.
 class ShardedExtractionService {
  public:
   ShardedExtractionService(Ontology ontology, ShardedServiceConfig config);
@@ -70,12 +70,11 @@ class ShardedExtractionService {
   /// Stops every shard (queued work is shed with kShutdown).
   void Stop();
 
-  /// The shard owning `site`: Fnv1a64(site) % num_shards, stable across
-  /// runs and processes (matches dist::ShardOfSite).
+  /// The shard owning `site`: ShardOfSite(site, num_shards).
   size_t ShardOf(std::string_view site) const;
 
   /// Cache-fronted submit. The returned future resolves immediately for a
-  /// near-duplicate hit; otherwise it is the shard's own promise-backed
+  /// page-cache hit; otherwise it is the shard's own promise-backed
   /// future (poll-safe: wait_for eventually reports ready) with a
   /// cache-insert completion hook that runs before it becomes ready.
   std::future<ServeResult> Submit(ServeRequest request);

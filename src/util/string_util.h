@@ -22,6 +22,15 @@ constexpr uint64_t Fnv1a64(std::string_view data) {
   return hash;
 }
 
+/// The shard a site belongs to: Fnv1a64(site) % num_shards, and 0 for
+/// num_shards <= 0. The offline distributed runner (checkpoint layout) and
+/// the serving tier (site -> shard routing) both partition by it.
+constexpr int32_t ShardOfSite(std::string_view site, int32_t num_shards) {
+  if (num_shards <= 0) return 0;
+  return static_cast<int32_t>(Fnv1a64(site) %
+                              static_cast<uint64_t>(num_shards));
+}
+
 /// Splits `input` on the single character `sep`. Empty fields are kept, so
 /// Split("a//b", '/') yields {"a", "", "b"}; Split("", '/') yields {""}.
 std::vector<std::string> Split(std::string_view input, char sep);

@@ -15,6 +15,7 @@
 #include "dist/dist_corpus.h"
 #include "dist/wire.h"
 #include "robustness/fault_injector.h"
+#include "util/string_util.h"
 
 namespace ceres::dist {
 namespace {
@@ -282,19 +283,6 @@ TEST(CoordinatorValidationTest, BadConfigRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(ShardOfSiteTest, StableAndInRange) {
-  // Stability across calls and runs is load-bearing (checkpoint layout);
-  // pin an actual value so an accidental hash change cannot slip through.
-  EXPECT_EQ(ShardOfSite("imdb.example", 1), 0);
-  const int32_t pinned = ShardOfSite("imdb.example", 1000);
-  EXPECT_EQ(ShardOfSite("imdb.example", 1000), pinned);
-  for (int32_t shards : {1, 2, 7, 64}) {
-    const int32_t got = ShardOfSite("any.example", shards);
-    EXPECT_GE(got, 0);
-    EXPECT_LT(got, shards);
-  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "dist/coordinator.h"
 #include "dist/dist_corpus.h"
 #include "robustness/fault_injector.h"
+#include "util/string_util.h"
 
 namespace ceres::dist {
 namespace {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
 namespace ceres {
@@ -231,6 +232,55 @@ TEST(LbfgsTest, ReportsLineSearchFailure) {
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.evaluations, 1 + config.max_line_search);
   EXPECT_EQ(x[0], 5.0);  // The best point so far is kept.
+}
+
+TEST(LbfgsTest, CancelTokenFiredInsideTheObjectiveStopsTheSolver) {
+  // Rosenbrock needs dozens of iterations; the objective cancels the run's
+  // token on its 5th evaluation, and the solver must stop at its next
+  // per-iteration check instead of running to convergence or the cap.
+  constexpr int kCancelAt = 5;
+  CancelToken token;
+  int evaluations = 0;
+  LbfgsObjective objective = [&](const std::vector<double>& x,
+                                 std::vector<double>* grad) {
+    if (++evaluations == kCancelAt) token.Cancel();
+    double a = 1 - x[0];
+    double b = x[1] - x[0] * x[0];
+    (*grad)[0] = -2 * a - 400 * x[0] * b;
+    (*grad)[1] = 200 * b;
+    return a * a + 100 * b * b;
+  };
+  std::vector<double> x{-1.2, 1.0};
+  LbfgsConfig config;
+  config.max_iterations = 500;
+  LbfgsResult result =
+      MinimizeLbfgs(objective, &x, config, Deadline().WithToken(token));
+  EXPECT_TRUE(result.deadline_expired);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.evaluations, evaluations);
+  // The iteration that made the 5th evaluation finishes its line search;
+  // no further iteration starts.
+  EXPECT_GE(result.evaluations, kCancelAt);
+  EXPECT_LE(result.evaluations, kCancelAt + config.max_line_search);
+  EXPECT_LT(result.iterations, kCancelAt);
+  // The run keeps the best point so far: the objective there is finite
+  // and no worse than at the start (24.2).
+  EXPECT_LE(result.final_objective, 24.2);
+}
+
+TEST(LbfgsTest, ExpiredDeadlineRunsNoIteration) {
+  LbfgsObjective objective = [](const std::vector<double>& x,
+                                std::vector<double>* grad) {
+    (*grad)[0] = 2 * (x[0] - 3);
+    return (x[0] - 3) * (x[0] - 3);
+  };
+  std::vector<double> x{0.0};
+  LbfgsResult result = MinimizeLbfgs(
+      objective, &x, {}, Deadline::After(std::chrono::seconds(0)));
+  EXPECT_TRUE(result.deadline_expired);
+  EXPECT_EQ(result.iterations, 0);
+  EXPECT_EQ(result.evaluations, 1);
+  EXPECT_EQ(x[0], 0.0);
 }
 
 }  // namespace

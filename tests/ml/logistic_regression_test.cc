@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +43,29 @@ TEST(LogisticRegressionTest, SeparatesTwoClasses) {
   b.Add(1, 1.0);
   b.Finalize();
   EXPECT_EQ(model.Predict(b).first, 1);
+}
+
+TEST(LogisticRegressionTest, SolverDeadlineFailsTheFitTyped) {
+  std::vector<LabeledExample> examples;
+  for (int i = 0; i < 20; ++i) {
+    examples.push_back(Example({{0, 1.0}}, 0));
+    examples.push_back(Example({{1, 1.0}}, 1));
+  }
+  CancelToken token;
+  token.Cancel();
+  LogisticRegression model;
+  EXPECT_EQ(
+      model.Train(examples, 2, 2, {}, Deadline().WithToken(token))
+          .status()
+          .code(),
+      StatusCode::kCancelled);
+  EXPECT_FALSE(model.trained());
+  EXPECT_EQ(model.Train(examples, 2, 2, {},
+                        Deadline::After(std::chrono::seconds(0)))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(model.trained());
 }
 
 TEST(LogisticRegressionTest, MultinomialThreeClasses) {

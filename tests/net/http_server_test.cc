@@ -347,7 +347,7 @@ TEST_F(FrontendE2eTest, LoopbackResponseIsByteIdenticalToDirectSubmit) {
   EXPECT_EQ(response.value().body, EncodeServeResultJson(kSite, direct));
 }
 
-TEST_F(FrontendE2eTest, NearDupResendIsServedWithoutParseOrInference) {
+TEST_F(FrontendE2eTest, IdenticalResendHitsAndChurnedResendRunsExtraction) {
   StartService(/*cache_enabled=*/true);
   net::HttpClient client(kHost, frontend_->port());
 
@@ -358,31 +358,38 @@ TEST_F(FrontendE2eTest, NearDupResendIsServedWithoutParseOrInference) {
             std::string::npos);
   const int64_t completions_after_first = ShardCompletions();
 
-  // The re-crawl carries whitespace and case churn only: the simhash
-  // normalizes it to the same fingerprint, so the cache answers and no
-  // shard ever sees the request.
-  net::HttpRequest recrawl = ExtractRequest();
-  for (char& c : recrawl.body) {
-    if (c == ' ') c = '\t';
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  auto second = client.Roundtrip(recrawl);
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second.value().status, 200);
-  EXPECT_NE(second.value().body.find("\"near_dup_hit\":true"),
+  // A byte-identical resend is answered by the page cache: no shard ever
+  // sees it, and it carries the cached triples.
+  auto resend = client.Roundtrip(ExtractRequest());
+  ASSERT_TRUE(resend.ok());
+  ASSERT_EQ(resend.value().status, 200);
+  EXPECT_NE(resend.value().body.find("\"near_dup_hit\":true"),
             std::string::npos);
   EXPECT_EQ(ShardCompletions(), completions_after_first);
-  const ShardedServiceStats stats = service_->stats();
-  EXPECT_EQ(stats.cache.hits, 1);
-  EXPECT_EQ(stats.near_dup_served, 1);
-
-  // Both responses carry the same triples (the cached extraction).
   const auto triples_of = [](const std::string& body) {
     const size_t begin = body.find("\"triples\":");
     const size_t end = body.find(",\"shed_cause\"");
     return body.substr(begin, end - begin);
   };
-  EXPECT_EQ(triples_of(first.value().body), triples_of(second.value().body));
+  EXPECT_EQ(triples_of(first.value().body), triples_of(resend.value().body));
+
+  // A re-crawl with whitespace and case churn is different bytes: it
+  // misses the cache and runs parse and inference on a shard.
+  net::HttpRequest recrawl = ExtractRequest();
+  for (char& c : recrawl.body) {
+    if (c == ' ') c = '\t';
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  auto churned = client.Roundtrip(recrawl);
+  ASSERT_TRUE(churned.ok());
+  ASSERT_EQ(churned.value().status, 200);
+  EXPECT_NE(churned.value().body.find("\"near_dup_hit\":false"),
+            std::string::npos);
+  EXPECT_EQ(ShardCompletions(), completions_after_first + 1);
+  const ShardedServiceStats stats = service_->stats();
+  EXPECT_EQ(stats.cache.hits, 1);
+  EXPECT_EQ(stats.cache.misses, 2);
+  EXPECT_EQ(stats.near_dup_served, 1);
 }
 
 TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {
@@ -421,7 +428,7 @@ TEST_F(FrontendE2eTest, SubmittedFutureIsPollSafe) {
   ASSERT_EQ(status, std::future_status::ready);
   const ServeResult result = future.get();
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  // The completion hook populated the near-dup cache before the future
+  // The completion hook populated the page cache before the future
   // became ready: an identical resend is a cache hit.
   const ServeResult resend = service_->Submit(DirectRequest()).get();
   ASSERT_TRUE(resend.status.ok());

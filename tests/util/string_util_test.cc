@@ -49,5 +49,20 @@ TEST(StrCatTest, ConcatenatesMixedTypes) {
   EXPECT_EQ(StrCat(), "");
 }
 
+TEST(ShardOfSiteTest, StableAndInRange) {
+  // Stability across calls and runs is load-bearing (checkpoint layout);
+  // pin an actual value so an accidental hash change cannot slip through.
+  EXPECT_EQ(ShardOfSite("imdb.example", 1), 0);
+  EXPECT_EQ(ShardOfSite("imdb.example", 1000),
+            static_cast<int32_t>(Fnv1a64("imdb.example") % 1000));
+  EXPECT_EQ(ShardOfSite("imdb.example", 0), 0);
+  EXPECT_EQ(ShardOfSite("imdb.example", -3), 0);
+  for (int32_t shards : {1, 2, 7, 64}) {
+    const int32_t got = ShardOfSite("any.example", shards);
+    EXPECT_GE(got, 0);
+    EXPECT_LT(got, shards);
+  }
+}
+
 }  // namespace
 }  // namespace ceres

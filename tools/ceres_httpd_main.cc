@@ -9,11 +9,11 @@
 //   GET  /healthz /metrics /stats
 //   POST /admin/invalidate?site=S   POST /admin/drain
 //
-// Requests are partitioned across --shards independent ModelRegistry +
-// ExtractionService pairs by stable site hash, and fronted by a simhash
-// near-duplicate page cache: a re-crawled page whose fingerprint is
-// within the Hamming threshold of a cached page skips parse and
-// inference entirely.
+// This is the one serving driver. Requests go through
+// ShardedExtractionService: --shards independent model registries and
+// worker pools partitioned by stable site hash, fronted by an exact page
+// cache — a byte-identical resend of a page of the same site skips parse
+// and inference entirely.
 //
 // Prints "LISTENING <port>" on stdout once ready (machine-readable for
 // drivers). Exits on SIGINT/SIGTERM or POST /admin/drain, in both cases
@@ -23,7 +23,7 @@
 // Usage:
 //   ceres_httpd [--port 0] [--shards 2] [--threads 4] [--sites 3]
 //               [--scale 0.25] [--seed 100] [--store DIR]
-//               [--rate N] [--burst N] [--cache-mb N] [--hamming N]
+//               [--rate N] [--burst N] [--cache-mb N]
 //               [--no-cache] [--force-poll] [--verbose]
 
 #include <csignal>
@@ -57,7 +57,6 @@ struct Options {
   double rate = 0.0;  // tokens/second per client; 0 = unlimited
   double burst = 16.0;
   size_t cache_mb = 32;
-  int hamming = 3;
   bool no_cache = false;
   bool force_poll = false;
   bool verbose = false;
@@ -67,7 +66,7 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: ceres_httpd [--port N] [--shards N] [--threads N]\n"
                "  [--sites N] [--scale X] [--seed N] [--store DIR]\n"
-               "  [--rate N] [--burst N] [--cache-mb N] [--hamming N]\n"
+               "  [--rate N] [--burst N] [--cache-mb N]\n"
                "  [--no-cache] [--force-poll] [--verbose]\n");
 }
 
@@ -105,9 +104,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     } else if (arg == "--cache-mb" && next(&value)) {
       options->cache_mb =
           static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (arg == "--hamming" && next(&value)) {
-      options->hamming =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
     } else if (arg == "--no-cache") {
       options->no_cache = true;
     } else if (arg == "--force-poll") {
@@ -153,7 +149,6 @@ int main(int argc, char** argv) {
   config.registry.root_dir = options.store;
   config.cache.enabled = !options.no_cache;
   config.cache.max_bytes = options.cache_mb << 20;
-  config.cache.hamming_threshold = options.hamming;
   serve::ShardedExtractionService service(corpus.seed_kb.ontology(),
                                           config);
 

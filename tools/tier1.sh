@@ -110,7 +110,7 @@ echo "== tier1: chaos label"
 (cd "$build_dir" && ctest --output-on-failure -L chaos "$@")
 
 # HTTP front-end slice: the parser trust boundary, per-client admission,
-# the near-dup page cache, and the loopback end-to-end drain guarantees.
+# and the loopback end-to-end drain guarantees.
 echo "== tier1: net label"
 (cd "$build_dir" && ctest --output-on-failure -L net "$@")
 
@@ -137,10 +137,13 @@ echo "== tier1: eval/fusion/obs labels"
 echo "== tier1: pipeline throughput smoke (parallel batch determinism)"
 "$build_dir/bench/pipeline_throughput" --smoke
 
-# Serve-path smoke: exact accounting, per-cell stage timings in the BENCH
-# JSON, and typed shedding under an injected model fault.
-echo "== tier1: serve throughput smoke (stage timings + fault burst)"
-"$build_dir/bench/serve_throughput" --smoke
+# Serving smoke: ShardedExtractionService in process (registry sweep with
+# exact accounting and stage timings, typed sheds under an injected model
+# fault and for an unpublished site, a mid-stream hot-swap) and behind the
+# HTTP front-end over loopback (page-cache hits, clean drains, 429s that
+# balance the server's counter).
+echo "== tier1: serve bench smoke (in-process + loopback HTTP)"
+"$build_dir/bench/serve_bench" --smoke
 
 # Distributed-recovery smoke: crashed workers respawn, shards retry, and
 # the merge stays byte-identical to the single-process reference.
@@ -151,11 +154,5 @@ echo "== tier1: dist recovery smoke (crash retry + checkpointing)"
 # scale, and the forked-worker RSS probe.
 echo "== tier1: kb load smoke (image map vs parse)"
 "$build_dir/bench/kb_load" --smoke
-
-# Network serving smoke: loopback HTTP over the sharded service — warm
-# near-dup stream must hit the cache and beat the cold pass, drain must
-# account for every request, and 429 shedding must balance exactly.
-echo "== tier1: serve qps smoke (HTTP front-end + page cache)"
-"$build_dir/bench/serve_qps" --smoke
 
 echo "== tier1: all gates passed"
