@@ -613,9 +613,9 @@ void Loopback(const Fixture& fixture, bool smoke) {
             "warm: keep-alive beats connection-per-request");
     DrainAndStop(&frontend);
   }
-  serve::FrontendConfig limited;
-  limited.http.rate_limit.tokens_per_second = 200;
-  limited.http.rate_limit.burst = 16;
+  net::HttpServerConfig limited;
+  limited.rate_limit.tokens_per_second = 200;
+  limited.rate_limit.burst = 16;
   serve::ExtractionFrontend frontend(service.get(), limited);
   Status started = frontend.Start();
   if (!started.ok()) Fail("rate-limited frontend start failed", started);

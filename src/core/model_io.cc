@@ -10,6 +10,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "util/atomic_file.h"
 #include "util/string_util.h"
 
 namespace ceres {
@@ -331,30 +332,6 @@ fs::path SiteDir(const std::string& root, const std::string& site) {
   return fs::path(root) / site;
 }
 
-/// Writes `text` to `path` via a sibling tmp file + rename, so readers only
-/// ever see complete files.
-Status AtomicWrite(const fs::path& path, const std::string& text) {
-  fs::path tmp = path;
-  tmp += ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out.is_open()) {
-      return Status::NotFound(
-          StrCat("cannot open for writing: ", tmp.string()));
-    }
-    out << text;
-    if (!out.good()) return Status::Internal("stream write failed");
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal(
-        StrCat("rename ", tmp.string(), " -> ", path.string(), ": ",
-               ec.message()));
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 std::string ModelVersionPath(const std::string& root, const std::string& site,
@@ -423,9 +400,11 @@ Result<int64_t> SaveModelVersion(const std::string& root,
 
   std::ostringstream out;
   CERES_RETURN_IF_ERROR(SaveModel(model, ontology, &out));
-  CERES_RETURN_IF_ERROR(
-      AtomicWrite(ModelVersionPath(root, site, version), out.str()));
-  CERES_RETURN_IF_ERROR(AtomicWrite(dir / "CURRENT", StrCat(version, "\n")));
+  CERES_RETURN_IF_ERROR(WriteFileAtomically(
+      ModelVersionPath(root, site, version), out.str(), StatusCode::kNotFound));
+  CERES_RETURN_IF_ERROR(WriteFileAtomically((dir / "CURRENT").string(),
+                                            StrCat(version, "\n"),
+                                            StatusCode::kNotFound));
   return version;
 }
 

@@ -1,16 +1,13 @@
 #include "dist/checkpoint.h"
 
 #include <dirent.h>
-#include <errno.h>
-#include <stdio.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "util/atomic_file.h"
 #include "util/string_util.h"
 
 namespace ceres::dist {
@@ -28,31 +25,10 @@ std::string ShardCheckpointPath(std::string_view dir, int32_t shard) {
 
 Status SaveShardCheckpoint(std::string_view dir, const ShardResult& result,
                            int64_t* bytes_written) {
-  const std::string path = ShardCheckpointPath(dir, result.shard);
-  // Same-directory temp file so the rename is atomic on every POSIX
-  // filesystem; the pid suffix keeps a concurrently resuming coordinator
-  // from clobbering our in-flight write.
-  const std::string tmp = StrCat(path, ".tmp.", ::getpid());
   const std::string bytes =
       EncodeFrame(FrameType::kResult, EncodeShardResult(result));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal(StrCat("cannot open ", tmp, " for writing"));
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      (void)::unlink(tmp.c_str());
-      return Status::Internal(StrCat("short write to ", tmp));
-    }
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    (void)::unlink(tmp.c_str());
-    return Status::Internal(StrCat("rename ", tmp, " -> ", path,
-                                   " failed: ", std::strerror(err)));
-  }
+  CERES_RETURN_IF_ERROR(
+      WriteFileAtomically(ShardCheckpointPath(dir, result.shard), bytes));
   if (bytes_written != nullptr) {
     *bytes_written = static_cast<int64_t>(bytes.size());
   }

@@ -1,9 +1,9 @@
 #include "kb/kb_image.h"
 
-#include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <utility>
 
+#include "util/atomic_file.h"
 #include "util/string_util.h"
 
 namespace ceres {
@@ -201,23 +201,7 @@ Result<KbImage> KbImage::Map(const std::string& path, bool verify_payload) {
 
 Status WriteKbImageFile(std::span<const char> image,
                         const std::string& path) {
-  const std::string tmp = StrCat(path, ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal(StrCat("cannot open ", tmp, " for write"));
-    }
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    if (!out) {
-      return Status::Internal(StrCat("short write to ", tmp));
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal(StrCat("rename ", tmp, " -> ", path,
-                                   " failed"));
-  }
-  return Status::Ok();
+  return WriteFileAtomically(path, std::string_view(image.data(), image.size()));
 }
 
 }  // namespace ceres

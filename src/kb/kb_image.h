@@ -230,7 +230,8 @@ class KbImage {
 };
 
 /// Writes `image` (a serialized buffer or a KbImage's bytes) to `path`
-/// atomically enough for a build step: write to a temp sibling then rename.
+/// through WriteFileAtomically: concurrent writers of one path never share
+/// a temp file, and readers never see a partial image.
 Status WriteKbImageFile(std::span<const char> image, const std::string& path);
 
 }  // namespace ceres

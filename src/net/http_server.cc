@@ -5,15 +5,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -49,97 +45,26 @@ Status SetNonBlocking(int fd) {
 }
 
 // ---------------------------------------------------------------------------
-// Poller backends: one interface, epoll on Linux, portable poll() as the
-// fallback (and as an always-buildable, always-tested second path).
+// The epoll poller.
 // ---------------------------------------------------------------------------
 
 struct PollEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  /// Peer fully gone (POLLHUP/POLLERR); the connection is unusable.
+  /// Peer fully gone (EPOLLHUP/EPOLLERR); the connection is unusable.
   bool hangup = false;
 };
 
-class PollerBackend {
+class EpollPoller {
  public:
-  virtual ~PollerBackend() = default;
-  virtual Status AddFd(int fd, bool read, bool write) = 0;
-  virtual void UpdateFd(int fd, bool read, bool write) = 0;
-  virtual void RemoveFd(int fd) = 0;
-  /// Appends ready events to `events`; returns their number.
-  virtual Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-  virtual const char* name() const = 0;
-};
-
-class PollBackend final : public PollerBackend {
- public:
-  Status AddFd(int fd, bool read, bool write) override {
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, Events(read, write), 0});
-    return Status::Ok();
-  }
-
-  void UpdateFd(int fd, bool read, bool write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    fds_[it->second].events = Events(read, write);
-  }
-
-  void RemoveFd(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const size_t at = it->second;
-    index_.erase(it);
-    if (at + 1 != fds_.size()) {
-      fds_[at] = fds_.back();
-      index_[fds_[at].fd] = at;
-    }
-    fds_.pop_back();
-  }
-
-  Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    const int ready = ::poll(fds_.data(),
-                             static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return 0;
-      return ErrnoStatus("poll");
-    }
-    int emitted = 0;
-    for (const pollfd& entry : fds_) {
-      if (entry.revents == 0) continue;
-      PollEvent event;
-      event.fd = entry.fd;
-      event.readable = (entry.revents & POLLIN) != 0;
-      event.writable = (entry.revents & POLLOUT) != 0;
-      event.hangup =
-          (entry.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-      if (++emitted == ready) break;
-    }
-    return emitted;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Events(bool read, bool write) {
-    short events = 0;
-    if (read) events |= POLLIN;
-    if (write) events |= POLLOUT;
-    return events;
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, size_t> index_;
-};
-
-#if defined(__linux__)
-class EpollBackend final : public PollerBackend {
- public:
-  ~EpollBackend() override {
+  EpollPoller() = default;
+  ~EpollPoller() {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
   }
+
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
 
   Status Init() {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -147,7 +72,7 @@ class EpollBackend final : public PollerBackend {
     return Status::Ok();
   }
 
-  Status AddFd(int fd, bool read, bool write) override {
+  Status AddFd(int fd, bool read, bool write) {
     epoll_event event = Event(fd, read, write);
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
       return ErrnoStatus("epoll_ctl(ADD)");
@@ -155,17 +80,18 @@ class EpollBackend final : public PollerBackend {
     return Status::Ok();
   }
 
-  void UpdateFd(int fd, bool read, bool write) override {
+  void UpdateFd(int fd, bool read, bool write) {
     epoll_event event = Event(fd, read, write);
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
   }
 
-  void RemoveFd(int fd) override {
+  void RemoveFd(int fd) {
     epoll_event unused = {};
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &unused);
   }
 
-  Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) override {
+  /// Appends ready events to `events`; returns their number.
+  Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) {
     epoll_event ready[64];
     const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
     if (n < 0) {
@@ -183,8 +109,6 @@ class EpollBackend final : public PollerBackend {
     return n;
   }
 
-  const char* name() const override { return "epoll"; }
-
  private:
   static epoll_event Event(int fd, bool read, bool write) {
     epoll_event event = {};
@@ -196,21 +120,6 @@ class EpollBackend final : public PollerBackend {
 
   int epoll_fd_ = -1;
 };
-#endif  // defined(__linux__)
-
-Result<std::unique_ptr<PollerBackend>> MakePoller(bool force_poll) {
-#if defined(__linux__)
-  if (!force_poll) {
-    auto backend = std::make_unique<EpollBackend>();
-    Status init = backend->Init();
-    if (!init.ok()) return init;
-    return std::unique_ptr<PollerBackend>(std::move(backend));
-  }
-#else
-  (void)force_poll;
-#endif
-  return std::unique_ptr<PollerBackend>(std::make_unique<PollBackend>());
-}
 
 Result<int> CreateListenSocket(const HttpServerConfig& config,
                                uint16_t* bound_port) {
@@ -350,7 +259,7 @@ struct HttpServer::Loop {
   // --- loop-thread state ---
   Handler handler;
   const HttpServerConfig config;
-  std::unique_ptr<PollerBackend> poller;
+  EpollPoller poller;
   RateLimiter limiter;
   int listen_fd = -1;
   int wake_read_fd = -1;
@@ -389,10 +298,7 @@ struct HttpServer::Loop {
 };
 
 Status HttpServer::Loop::Init() {
-  Result<std::unique_ptr<PollerBackend>> backend =
-      MakePoller(config.force_poll);
-  if (!backend.ok()) return backend.status();
-  poller = std::move(backend).value();
+  CERES_RETURN_IF_ERROR(poller.Init());
 
   uint16_t bound_port = 0;
   Result<int> listener = CreateListenSocket(config, &bound_port);
@@ -408,9 +314,9 @@ Status HttpServer::Loop::Init() {
   nonblocking = SetNonBlocking(wake_write_fd);
   if (!nonblocking.ok()) return nonblocking;
 
-  Status added = poller->AddFd(listen_fd, /*read=*/true, /*write=*/false);
+  Status added = poller.AddFd(listen_fd, /*read=*/true, /*write=*/false);
   if (!added.ok()) return added;
-  added = poller->AddFd(wake_read_fd, /*read=*/true, /*write=*/false);
+  added = poller.AddFd(wake_read_fd, /*read=*/true, /*write=*/false);
   if (!added.ok()) return added;
 
   inbox = std::make_shared<Responder::Inbox>();
@@ -449,13 +355,13 @@ void HttpServer::Loop::Serve() {
       drain_seen = true;
       drain_started_us = NowMicros();
       if (listen_fd >= 0) {
-        poller->RemoveFd(listen_fd);
+        poller.RemoveFd(listen_fd);
         ::close(listen_fd);
         listen_fd = -1;
       }
     }
     events.clear();
-    Result<int> waited = poller->Wait(/*timeout_ms=*/50, &events);
+    Result<int> waited = poller.Wait(/*timeout_ms=*/50, &events);
     if (!waited.ok()) {
       LogInfo(StrCat("http loop wait failed: ",
                      waited.status().ToString()));
@@ -490,7 +396,7 @@ void HttpServer::Loop::TearDown() {
     inbox->wake_fd = -1;
   }
   for (auto& [id, conn] : connections) {
-    poller->RemoveFd(conn.fd);
+    poller.RemoveFd(conn.fd);
     ::close(conn.fd);
     stats.closed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -528,7 +434,7 @@ void HttpServer::Loop::AcceptReady() {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Status added = poller->AddFd(fd, /*read=*/true, /*write=*/false);
+    Status added = poller.AddFd(fd, /*read=*/true, /*write=*/false);
     if (!added.ok()) {
       ::close(fd);
       continue;
@@ -734,7 +640,7 @@ bool HttpServer::Loop::TryFlush(Connection* conn) {
 }
 
 void HttpServer::Loop::UpdateInterest(Connection* conn) {
-  poller->UpdateFd(conn->fd,
+  poller.UpdateFd(conn->fd,
                  conn->want_read && !conn->awaiting_handler &&
                      !conn->close_after_write,
                  conn->want_write);
@@ -786,7 +692,7 @@ void HttpServer::Loop::SweepTimeouts() {
 void HttpServer::Loop::CloseConnection(uint64_t conn_id) {
   auto it = connections.find(conn_id);
   if (it == connections.end()) return;
-  poller->RemoveFd(it->second.fd);
+  poller.RemoveFd(it->second.fd);
   ::close(it->second.fd);
   by_fd.erase(it->second.fd);
   connections.erase(it);
@@ -821,7 +727,7 @@ Status HttpServer::Start() {
   started_ = true;
   loop_thread_ = std::thread([loop = loop_.get()] { loop->Serve(); });
   LogInfo(StrCat("http server listening on ", config_.bind_address, ":",
-                 bound_port_, " (", loop_->poller->name(), ")"));
+                 bound_port_));
   return Status::Ok();
 }
 

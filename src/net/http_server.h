@@ -16,15 +16,14 @@
 namespace ceres::net {
 
 /// An HTTP/1.1 front-end over non-blocking sockets and a single-threaded
-/// event loop — epoll where available, `poll` otherwise (or when
-/// `force_poll` asks for the portable backend explicitly).
+/// epoll event loop (Linux only, like the rest of the repo's tools).
 ///
 /// The loop owns every connection: it accepts, reads, parses (through the
 /// hard-limited RequestParser), enforces the per-client token bucket, and
 /// writes responses. Application work never runs on the loop: when a
 /// request completes parsing, the handler is invoked with a `Responder`
-/// and must return quickly; the response may be sent later from any
-/// thread (the loop is woken through a self-pipe). While a request is in
+/// and must return quickly; the response may be sent inline or later from
+/// any thread (the loop is woken through a self-pipe). While a request is in
 /// flight its connection stops being read — natural per-connection
 /// backpressure, and responses can never be interleaved out of order.
 ///
@@ -60,9 +59,6 @@ struct HttpServerConfig {
   int64_t idle_timeout_ms = 30'000;
   int64_t header_timeout_ms = 10'000;
   int64_t drain_grace_ms = 200;
-  /// Use the portable poll() backend even where epoll exists (tested
-  /// fallback, not just a build-time escape hatch).
-  bool force_poll = false;
 };
 
 /// Monotonic counters describing the socket edge. Typed shed/close
@@ -85,7 +81,9 @@ struct HttpServerStats {
 class HttpServer {
  public:
   /// Completion capability handed to the handler. Thread-safe; Send may be
-  /// called from any thread exactly once per request. A Responder that
+  /// called from any thread, the loop included, exactly once per request.
+  /// Send never blocks on the socket: it queues the response and writes one
+  /// byte to the loop's non-blocking wake pipe. A Responder that
   /// outlives its connection (peer vanished) or its server drops the
   /// response and counts it — it never dangles.
   class Responder {

@@ -115,7 +115,6 @@ class ExtractionService {
                                   CompletionHook on_complete = nullptr);
 
   ServiceStats stats() const;
-  const ExtractionServiceConfig& config() const { return config_; }
 
  private:
   struct PendingRequest {

@@ -121,26 +121,19 @@ std::string EncodeServeResultJson(const std::string& site,
 }
 
 ExtractionFrontend::ExtractionFrontend(ShardedExtractionService* service,
-                                       FrontendConfig config)
+                                       net::HttpServerConfig config)
     : service_(service), config_(std::move(config)) {}
 
 ExtractionFrontend::~ExtractionFrontend() { Stop(); }
 
 Status ExtractionFrontend::Start() {
   if (started_) return Status::FailedPrecondition("already started");
-  const int threads = config_.completion_threads > 0
-                          ? config_.completion_threads
-                          : 1;
-  pump_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    pump_.emplace_back([this] { PumpLoop(); });
-  }
   server_ = std::make_unique<net::HttpServer>(
       [this](net::HttpRequest request,
              net::HttpServer::Responder responder) {
         Route(std::move(request), std::move(responder));
       },
-      config_.http);
+      config_);
   Status status = server_->Start();
   if (!status.ok()) {
     Stop();
@@ -152,20 +145,7 @@ Status ExtractionFrontend::Start() {
 
 Status ExtractionFrontend::Drain(Deadline deadline) {
   if (server_ == nullptr) return Status::Ok();
-  // The socket edge drains first — while the pump keeps answering — so
-  // every in-flight request is responded to and flushed before sockets
-  // close. The completion queue is necessarily empty afterwards (every
-  // queued completion belongs to a connection the drain waited for), but
-  // wait for it explicitly to make the guarantee local.
-  Status status = server_->Drain(deadline);
-  UniqueMutexLock lock(mu_);
-  while (!pending_.empty() || inflight_ > 0) {
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded("completion queue not drained");
-    }
-    queue_idle_.wait_for(lock, std::chrono::milliseconds(20));
-  }
-  return status;
+  return server_->Drain(deadline);
 }
 
 void ExtractionFrontend::Stop() {
@@ -173,13 +153,8 @@ void ExtractionFrontend::Stop() {
   {
     MutexLock lock(mu_);
     stopping_ = true;
-    pending_.clear();  // responders are dead post-shutdown; drop futures
-    work_ready_.notify_all();
+    drain_cv_.notify_all();
   }
-  for (std::thread& thread : pump_) {
-    if (thread.joinable()) thread.join();
-  }
-  pump_.clear();
   started_ = false;
 }
 
@@ -192,7 +167,7 @@ void ExtractionFrontend::WaitForDrainRequest(Deadline deadline) {
   UniqueMutexLock lock(mu_);
   while (!drain_requested_ && !stopping_) {
     if (deadline.expired()) return;
-    work_ready_.wait_for(lock, std::chrono::milliseconds(50));
+    drain_cv_.wait_for(lock, std::chrono::milliseconds(50));
   }
 }
 
@@ -224,7 +199,7 @@ void ExtractionFrontend::Route(net::HttpRequest request,
         StrCat("{\"shards\":", stats.per_shard.size(),
                ",\"submitted\":", submitted, ",\"completed\":", completed,
                ",\"shed\":", shed,
-               ",\"near_dup_served\":", stats.near_dup_served,
+               ",\"near_dup_served\":", stats.cache.hits,
                ",\"cache\":{\"hits\":", stats.cache.hits,
                ",\"misses\":", stats.cache.misses,
                ",\"entries\":", stats.cache.entries,
@@ -260,7 +235,7 @@ void ExtractionFrontend::Route(net::HttpRequest request,
     {
       MutexLock lock(mu_);
       drain_requested_ = true;
-      work_ready_.notify_all();
+      drain_cv_.notify_all();
     }
     responder.Send(JsonResponse(202, "{\"draining\":true}"));
     return;
@@ -290,67 +265,16 @@ void ExtractionFrontend::HandleExtract(
   const auto url = params.find("url");
   if (url != params.end()) serve_request.url = url->second;
 
-  // Admission check before Submit: a shed request must never reach the
-  // shard service (the extraction would run to completion with its result
-  // abandoned, and submitted/completed stats would diverge from the HTTP
-  // responses). A reserved slot keeps a concurrent burst from overshooting
-  // the bound between this check and the push below.
-  {
-    bool shed = false;
-    {
-      MutexLock lock(mu_);
-      if (stopping_ ||
-          pending_.size() + reserved_ >= config_.max_pending_completions) {
-        shed = true;
-      } else {
-        ++reserved_;
-      }
-    }
-    if (shed) {
-      // Send outside mu_: the responder write can block on the socket.
-      responder.Send(TextResponse(503, "completion queue full\n"));
-      return;
-    }
-  }
-  PendingCompletion completion{
-      service_->Submit(std::move(serve_request)), std::move(responder),
-      site->second};
-  {
-    MutexLock lock(mu_);
-    --reserved_;
-    if (!stopping_) {
-      pending_.push_back(std::move(completion));
-      work_ready_.notify_one();
-      return;
-    }
-  }
-  // Stop() raced the submit; answer rather than drop the responder.
-  completion.responder.Send(TextResponse(503, "shutting down\n"));
-}
-
-void ExtractionFrontend::PumpLoop() {
-  for (;;) {
-    PendingCompletion completion;
-    {
-      UniqueMutexLock lock(mu_);
-      while (pending_.empty() && !stopping_) {
-        work_ready_.wait(lock);
-      }
-      if (stopping_) return;
-      completion = std::move(pending_.front());
-      pending_.pop_front();
-      ++inflight_;
-    }
-    // Blocking get: the page-cache insert already ran on the shard
-    // worker by the time the future is ready.
-    ServeResult result = completion.future.get();
-    const int http_status = HttpStatusForCode(result.status.code());
-    completion.responder.Send(JsonResponse(
-        http_status, EncodeServeResultJson(completion.site, result)));
-    MutexLock lock(mu_);
-    --inflight_;
-    if (pending_.empty() && inflight_ == 0) queue_idle_.notify_all();
-  }
+  // The hook holds only the Responder and the site, never `this`: a shard
+  // may resolve the request after the front-end is gone, and the Responder
+  // then drops the response and counts it.
+  (void)service_->Submit(
+      std::move(serve_request),
+      [responder = std::move(responder),
+       site = site->second](const ServeResult& result) {
+        responder.Send(JsonResponse(HttpStatusForCode(result.status.code()),
+                                    EncodeServeResultJson(site, result)));
+      });
 }
 
 }  // namespace ceres::serve

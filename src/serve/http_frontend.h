@@ -2,12 +2,8 @@
 #define CERES_SERVE_HTTP_FRONTEND_H_
 
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/http.h"
 #include "net/http_server.h"
@@ -29,18 +25,8 @@ std::string EncodeServeResultJson(const std::string& site,
 /// kNotFound -> 404, kResourceExhausted -> 503, ...).
 int HttpStatusForCode(StatusCode code);
 
-struct FrontendConfig {
-  net::HttpServerConfig http;
-  /// Threads resolving extraction futures into HTTP responses. The event
-  /// loop never blocks on extraction; these do.
-  int completion_threads = 2;
-  /// Bound on completions waiting for a pump thread; beyond it requests
-  /// are shed with 503 (the service's own queue bound applies upstream).
-  size_t max_pending_completions = 2048;
-};
-
 /// The HTTP front-end: routes requests into a ShardedExtractionService
-/// and pumps completed futures back out as JSON responses.
+/// and answers each /extract from the service's completion hook.
 ///
 /// Endpoints:
 ///   POST /extract?site=S[&url=U]  body: page HTML -> extraction JSON
@@ -51,31 +37,34 @@ struct FrontendConfig {
 ///   POST /admin/drain             request graceful drain (202; the
 ///                                 process owner performs the drain)
 ///
-/// The event loop hands parsed requests to Route(); /extract submissions
-/// enqueue their future for the completion pump (a small thread pool whose
-/// only job is future.get() -> Responder.Send), so slow extractions never
-/// occupy the loop. Drain order for a clean exit: HttpServer::Drain (stop
-/// accepting, finish in-flight sockets) happens while the pump and service
-/// keep running, so every admitted request still completes; then Stop()
-/// tears down the pump.
+/// The event loop hands parsed requests to Route(). An /extract submission
+/// carries a completion hook that sends the JSON response through the
+/// request's Responder on whichever thread resolves it: the loop itself for
+/// a page-cache hit or an admission shed, a shard worker otherwise. The
+/// front-end starts no thread of its own and the loop never waits on
+/// extraction. Overload is shed by the shard's bounded queue
+/// (kResourceExhausted -> 503), and every admitted submission is answered
+/// by its own hook. Drain order for a clean exit: Drain() (stop accepting,
+/// finish in-flight sockets) runs while the service keeps running, so
+/// every admitted request is answered; then Stop() shuts the server.
 class ExtractionFrontend {
  public:
   ExtractionFrontend(ShardedExtractionService* service,
-                     FrontendConfig config = {});
+                     net::HttpServerConfig config = {});
   ~ExtractionFrontend();
 
   ExtractionFrontend(const ExtractionFrontend&) = delete;
   ExtractionFrontend& operator=(const ExtractionFrontend&) = delete;
 
-  /// Starts the completion pump and the HTTP server.
+  /// Starts the HTTP server.
   Status Start();
 
-  /// Graceful drain of the socket edge (see HttpServer::Drain), then
-  /// drains the completion queue. After this every accepted request has
-  /// been answered and flushed.
+  /// Graceful drain of the socket edge (see HttpServer::Drain). After this
+  /// every accepted request has been answered and flushed.
   Status Drain(Deadline deadline = Deadline());
 
-  /// Hard stop: shuts the server, joins the pump.
+  /// Hard stop: shuts the server. A completion that lands afterwards is
+  /// dropped by its Responder and counted in `responses_dropped`.
   void Stop();
 
   uint16_t port() const { return server_->port(); }
@@ -88,35 +77,18 @@ class ExtractionFrontend {
   void WaitForDrainRequest(Deadline deadline = Deadline());
 
  private:
-  struct PendingCompletion {
-    std::future<ServeResult> future;
-    net::HttpServer::Responder responder;
-    std::string site;
-  };
-
   void Route(net::HttpRequest request, net::HttpServer::Responder responder);
   void HandleExtract(net::HttpRequest request,
                      net::HttpServer::Responder responder);
-  void PumpLoop();
 
   ShardedExtractionService* const service_;
-  const FrontendConfig config_;
+  const net::HttpServerConfig config_;
   std::unique_ptr<net::HttpServer> server_;
 
   mutable CheckedMutex mu_{"ExtractionFrontend.mu"};
-  CondVar work_ready_;
-  CondVar queue_idle_;
-  std::deque<PendingCompletion> pending_ CERES_GUARDED_BY(mu_);
-  /// Slots claimed by requests admitted but not yet submitted to the
-  /// service; counted against max_pending_completions so a burst cannot
-  /// overshoot the bound between the admission check and the push.
-  size_t reserved_ CERES_GUARDED_BY(mu_) = 0;
-  /// Completions a pump thread is currently resolving; drain waits for
-  /// pending_ and this to both reach zero.
-  int inflight_ CERES_GUARDED_BY(mu_) = 0;
+  CondVar drain_cv_;
   bool stopping_ CERES_GUARDED_BY(mu_) = false;
   bool drain_requested_ CERES_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> pump_;
   bool started_ = false;
 };
 

@@ -46,7 +46,7 @@ size_t ShardedExtractionService::ShardOf(std::string_view site) const {
 }
 
 std::future<ServeResult> ShardedExtractionService::Submit(
-    ServeRequest request) {
+    ServeRequest request, ExtractionService::CompletionHook on_complete) {
   CachedExtraction cached;
   if (cache_.Lookup(request.site, request.html, &cached)) {
     ServeResult result;
@@ -54,35 +54,37 @@ std::future<ServeResult> ShardedExtractionService::Submit(
     result.triples = std::move(cached.triples);
     result.diagnostics = cached.diagnostics;
     result.diagnostics.near_dup_hit = true;
+    if (on_complete) on_complete(result);
     std::promise<ServeResult> promise;
     promise.set_value(std::move(result));
     return promise.get_future();
   }
   Shard& shard = *shards_[ShardOf(request.site)];
   if (!cache_.config().enabled) {
-    return shard.service->Submit(std::move(request));
+    return shard.service->Submit(std::move(request), std::move(on_complete));
   }
-  // The cache insert rides the shard's completion hook, which runs on the
-  // resolving thread strictly before the future becomes ready — exactly
-  // once per result, and never lazily. The returned future is the shard's
-  // own promise-backed future: wait_for/wait_until work (a deferred
-  // std::async future reports future_status::deferred forever), and the
-  // hook's `this` capture lives only inside the shard service, which this
-  // object owns and stops before the cache is destroyed — an unconsumed
-  // future outliving *this cannot dangle. The hook keeps its own copy of
-  // the page: the request itself moves into the shard. The generation is
-  // read before the shard can apply a model, so a Publish that lands while
-  // this request is in flight keeps its (possibly old-model) result out.
-  ExtractionService::CompletionHook insert =
+  // The cache insert rides the shard's completion hook, ahead of the
+  // caller's, so a caller woken by its own hook or by the future sees the
+  // entry. The hook's `this` capture lives only inside the shard service,
+  // which this object owns and stops before the cache is destroyed. The
+  // hook keeps its own copy of the page: the request itself moves into the
+  // shard. The generation is read before the shard can apply a model, so
+  // a Publish that lands while this request is in flight keeps its
+  // (possibly old-model) result out.
+  ExtractionService::CompletionHook insert_then_complete =
       [this, site = request.site, html = request.html,
-       generation = cache_.generation()](const ServeResult& result) mutable {
+       generation = cache_.generation(),
+       on_complete = std::move(on_complete)](
+          const ServeResult& result) mutable {
         if (result.status.ok() && !result.diagnostics.near_dup_hit) {
           cache_.Insert(site, std::move(html),
                         CachedExtraction{result.triples, result.diagnostics},
                         generation);
         }
+        if (on_complete) on_complete(result);
       };
-  return shard.service->Submit(std::move(request), std::move(insert));
+  return shard.service->Submit(std::move(request),
+                               std::move(insert_then_complete));
 }
 
 Result<int64_t> ShardedExtractionService::Publish(const std::string& site,
@@ -107,7 +109,6 @@ ShardedServiceStats ShardedExtractionService::stats() const {
     out.per_shard.push_back(shard->service->stats());
   }
   out.cache = cache_.stats();
-  out.near_dup_served = out.cache.hits;
   return out;
 }
 

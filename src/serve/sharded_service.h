@@ -31,10 +31,8 @@ struct ShardedServiceConfig {
 /// Aggregated view across shards, plus the shared page cache.
 struct ShardedServiceStats {
   std::vector<ServiceStats> per_shard;
+  /// `hits` counts requests answered without reaching a shard.
   PageCacheStats cache;
-  /// Requests answered from the page cache (never reached a shard).
-  /// Equals cache.hits; surfaced here for one-stop reporting.
-  int64_t near_dup_served = 0;
 };
 
 /// The serving entry point: every tool, bench and the HTTP front-end
@@ -53,7 +51,8 @@ struct ShardedServiceStats {
 /// with the cached triples (`diagnostics.near_dup_hit`), skipping parse
 /// and inference. Misses are forwarded to the owning shard; the completed
 /// result is inserted into the cache by the shard's completion hook, on
-/// the worker thread that resolved it, before the future becomes ready.
+/// the worker thread that resolved it, before the caller's own hook runs
+/// and before the future becomes ready.
 /// Publishing or invalidating a site's model drops the site's cached
 /// extractions in the same call.
 class ShardedExtractionService {
@@ -75,9 +74,13 @@ class ShardedExtractionService {
 
   /// Cache-fronted submit. The returned future resolves immediately for a
   /// page-cache hit; otherwise it is the shard's own promise-backed
-  /// future (poll-safe: wait_for eventually reports ready) with a
-  /// cache-insert completion hook that runs before it becomes ready.
-  std::future<ServeResult> Submit(ServeRequest request);
+  /// future (poll-safe: wait_for eventually reports ready). `on_complete`
+  /// follows ExtractionService::CompletionHook and runs exactly once,
+  /// before the future becomes ready: inline on a cache hit, otherwise on
+  /// the resolving shard thread, after the page-cache insert.
+  std::future<ServeResult> Submit(
+      ServeRequest request,
+      ExtractionService::CompletionHook on_complete = nullptr);
 
   /// Publishes `model` as the next version for `site` on its owning
   /// shard's registry and invalidates the site's cached extractions.
@@ -90,7 +93,6 @@ class ShardedExtractionService {
 
   int num_shards() const { return config_.num_shards; }
   ModelRegistry* registry(size_t shard) { return shards_[shard]->registry.get(); }
-  NearDupCache& cache() { return cache_; }
 
   ShardedServiceStats stats() const;
 

@@ -6,6 +6,7 @@
 // and object queries, and end-to-end pipeline output.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -38,7 +39,11 @@ class KbImageParityTest : public ::testing::Test {
     kb_config.default_coverage = 0.9;
     heap_ = new KnowledgeBase(synth::BuildSeedKb(*world_, kb_config));
 
-    image_path_ = new std::string(::testing::TempDir() + "/parity.kbi");
+    // gtest_discover_tests runs each case in its own process, each with its
+    // own SetUpTestSuite: the pid keeps one process's TearDownTestSuite from
+    // removing the image another process is still reading.
+    image_path_ = new std::string(
+        StrCat(::testing::TempDir(), "/parity.", ::getpid(), ".kbi"));
     ASSERT_TRUE(heap_->SaveImage(*image_path_).ok());
     KnowledgeBase::OpenOptions options;
     options.verify_checksum = true;
@@ -46,6 +51,12 @@ class KbImageParityTest : public ::testing::Test {
         KnowledgeBase::OpenImage(*image_path_, options);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     mapped_ = new KnowledgeBase(std::move(mapped).value());
+  }
+
+  // gtest runs the bodies even when SetUpTestSuite failed part-way; stop
+  // here rather than dereference a null mapped_.
+  void SetUp() override {
+    ASSERT_NE(mapped_, nullptr) << "SetUpTestSuite did not finish";
   }
 
   static void TearDownTestSuite() {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -254,46 +255,30 @@ TEST(HttpServerTest, DrainFlushesInFlightResponsesThenRefusesNew) {
   EXPECT_FALSE(late.Roundtrip(MakeRequest("GET", "/ping")).ok());
 }
 
-TEST(HttpServerTest, ForcePollBackendServesIdentically) {
-  net::HttpServerConfig config;
-  config.force_poll = true;
-  net::HttpServer server(EchoHandler(), config);
-  ASSERT_TRUE(server.Start().ok());
-  net::HttpClient client(kHost, server.port());
-  for (int i = 0; i < 5; ++i) {
-    auto response =
-        client.Roundtrip(MakeRequest("POST", "/echo", "poll-backend"));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_EQ(response.value().status, 200);
-    EXPECT_EQ(response.value().body, "poll-backend");
-  }
-  EXPECT_EQ(server.stats().responses, 5);
-}
-
 // ---------------------------------------------------------------------------
 // Loopback end-to-end: HTTP front-end over the sharded extraction tier.
 // ---------------------------------------------------------------------------
 
 class FrontendE2eTest : public ::testing::Test {
  protected:
-  void StartService(bool cache_enabled,
-                    size_t max_pending_completions = 2048) {
+  void StartService(bool cache_enabled, bool start_shards = true,
+                    size_t max_queue = ExtractionServiceConfig{}.max_queue) {
     root_ = ::testing::TempDir() + "/net_e2e_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(root_);
     ShardedServiceConfig config;
     config.num_shards = 2;
     config.service.worker_threads = 2;
+    config.service.max_queue = max_queue;
     config.registry.root_dir = root_;
     config.cache.enabled = cache_enabled;
     service_ = std::make_unique<ShardedExtractionService>(
         site_.kb.kb.ontology(), config);
     ASSERT_TRUE(service_->Publish(kSite, *site_.model).ok());
-    ASSERT_TRUE(service_->Start().ok());
-    FrontendConfig frontend_config;
-    frontend_config.max_pending_completions = max_pending_completions;
-    frontend_ = std::make_unique<ExtractionFrontend>(service_.get(),
-                                                     frontend_config);
+    if (start_shards) {
+      ASSERT_TRUE(service_->Start().ok());
+    }
+    frontend_ = std::make_unique<ExtractionFrontend>(service_.get());
     ASSERT_TRUE(frontend_->Start().ok());
   }
 
@@ -313,6 +298,14 @@ class FrontendE2eTest : public ::testing::Test {
     request.site = kSite;
     request.html = TrainedFilmSite::UnseenPageHtml(variant);
     return request;
+  }
+
+  int64_t Submitted() {
+    int64_t submitted = 0;
+    for (const ServiceStats& shard : service_->stats().per_shard) {
+      submitted += shard.submitted;
+    }
+    return submitted;
   }
 
   int64_t ShardCompletions() {
@@ -389,27 +382,62 @@ TEST_F(FrontendE2eTest, IdenticalResendHitsAndChurnedResendRunsExtraction) {
   const ShardedServiceStats stats = service_->stats();
   EXPECT_EQ(stats.cache.hits, 1);
   EXPECT_EQ(stats.cache.misses, 2);
-  EXPECT_EQ(stats.near_dup_served, 1);
 }
 
-TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {
-  // A zero completion budget sheds every /extract with 503. The bound is
-  // checked before Submit: a shed request must never cost a shard a full
-  // parse + inference pass, and submitted/completed stats must agree with
-  // the HTTP responses (regression: the old path submitted first and
-  // abandoned the result).
-  StartService(/*cache_enabled=*/false, /*max_pending_completions=*/0);
+TEST_F(FrontendE2eTest, QueueOverflowIsShed503AndEveryRequestIsAnswered) {
+  // The shard owning kSite is not started, so the first kQueued requests
+  // wait in its queue. Every further /extract overflows max_queue, and its
+  // completion hook answers 503 at once. Starting the shard then answers
+  // the queued ones. Nothing is abandoned: every submission is a response.
+  constexpr int kQueued = 2;
+  constexpr int kOverflow = 3;
+  StartService(/*cache_enabled=*/false, /*start_shards=*/false,
+               /*max_queue=*/kQueued);
+  // One connection per queued request: a connection is not read again
+  // until its in-flight request is answered.
+  std::vector<std::unique_ptr<net::HttpClient>> queued;
+  for (int i = 0; i < kQueued; ++i) {
+    queued.push_back(
+        std::make_unique<net::HttpClient>(kHost, frontend_->port()));
+    ASSERT_TRUE(
+        queued.back()->SendRaw(net::EncodeRequest(ExtractRequest(i))).ok());
+  }
+  const Deadline admitted = Deadline::After(milliseconds(5000));
+  while (Submitted() < kQueued) {
+    ASSERT_FALSE(admitted.expired()) << "queued requests never submitted";
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+
   net::HttpClient client(kHost, frontend_->port());
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kOverflow; ++i) {
     auto response = client.Roundtrip(ExtractRequest(i));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().status, 503);
+    EXPECT_NE(response.value().body.find("\"shed_cause\":\"queue_full\""),
+              std::string::npos);
   }
-  int64_t submitted = 0;
-  for (const ServiceStats& shard : service_->stats().per_shard) {
-    submitted += shard.submitted;
+  ASSERT_TRUE(service_->Start().ok());
+  for (auto& connection : queued) {
+    auto response = connection->ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status, 200);
   }
-  EXPECT_EQ(submitted, 0);
+
+  auto stats = client.Roundtrip(MakeRequest("GET", "/stats"));
+  ASSERT_TRUE(stats.ok());
+  const std::string& body = stats.value().body;
+  const auto field = [&body](const std::string& key) -> int64_t {
+    const std::string needle = "\"" + key + "\":";
+    const size_t at = body.find(needle);
+    if (at == std::string::npos) return -1;
+    return std::strtoll(body.c_str() + at + needle.size(), nullptr, 10);
+  };
+  EXPECT_EQ(field("submitted"), kQueued + kOverflow);
+  EXPECT_EQ(field("completed"), kQueued);
+  EXPECT_EQ(field("shed"), kOverflow);
+  // /stats renders before its own response is sent, so `responses` counts
+  // exactly the /extract answers.
+  EXPECT_EQ(field("responses"), kQueued + kOverflow);
 }
 
 TEST_F(FrontendE2eTest, SubmittedFutureIsPollSafe) {

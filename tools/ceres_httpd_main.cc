@@ -24,7 +24,7 @@
 //   ceres_httpd [--port 0] [--shards 2] [--threads 4] [--sites 3]
 //               [--scale 0.25] [--seed 100] [--store DIR]
 //               [--rate N] [--burst N] [--cache-mb N]
-//               [--no-cache] [--force-poll] [--verbose]
+//               [--no-cache] [--verbose]
 
 #include <csignal>
 #include <cstdio>
@@ -58,7 +58,6 @@ struct Options {
   double burst = 16.0;
   size_t cache_mb = 32;
   bool no_cache = false;
-  bool force_poll = false;
   bool verbose = false;
 };
 
@@ -67,7 +66,7 @@ void PrintUsage() {
                "usage: ceres_httpd [--port N] [--shards N] [--threads N]\n"
                "  [--sites N] [--scale X] [--seed N] [--store DIR]\n"
                "  [--rate N] [--burst N] [--cache-mb N]\n"
-               "  [--no-cache] [--force-poll] [--verbose]\n");
+               "  [--no-cache] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -106,8 +105,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
           static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (arg == "--no-cache") {
       options->no_cache = true;
-    } else if (arg == "--force-poll") {
-      options->force_poll = true;
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else {
@@ -203,12 +200,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serve::FrontendConfig frontend_config;
-  frontend_config.http.port = options.port;
-  frontend_config.http.force_poll = options.force_poll;
-  frontend_config.http.rate_limit.tokens_per_second = options.rate;
-  frontend_config.http.rate_limit.burst = options.burst;
-  serve::ExtractionFrontend frontend(&service, frontend_config);
+  net::HttpServerConfig http_config;
+  http_config.port = options.port;
+  http_config.rate_limit.tokens_per_second = options.rate;
+  http_config.rate_limit.burst = options.burst;
+  serve::ExtractionFrontend frontend(&service, http_config);
   started = frontend.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "frontend start failed: %s\n",

@@ -91,7 +91,7 @@ if [ "$mode" = "undefined" ]; then
   # The mapped-image KB reinterprets mmap'd bytes as typed records; UBSan
   # is the tier that would catch a misaligned section or aliasing slip.
   echo "== tier1: kb label (UBSan)"
-  (cd "$build_dir" && ctest --output-on-failure -L kb "$@")
+  (cd "$build_dir" && ctest --output-on-failure -L kb --repeat until-fail:3 "$@")
 
   echo "== tier1: pipeline throughput smoke (UBSan)"
   "$build_dir/bench/pipeline_throughput" --smoke
@@ -121,9 +121,11 @@ echo "== tier1: dist label"
 
 # Out-of-core KB slice: image round-trip, corruption typing (every
 # malformed image is a kDataLoss, never a crash), and heap-vs-mapped
-# parity including full-pipeline output.
+# parity including full-pipeline output. Each case runs three times: the
+# parity fixture once raced across parallel test processes, and a single
+# pass can miss a race like that.
 echo "== tier1: kb label"
-(cd "$build_dir" && ctest --output-on-failure -L kb "$@")
+(cd "$build_dir" && ctest --output-on-failure -L kb --repeat until-fail:3 "$@")
 
 # The scoring/fusion regression slice plus the observability instruments:
 # these carry the eval-correctness fixes and the metrics/trace layer, and
